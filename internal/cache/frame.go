@@ -77,14 +77,18 @@ func deframeBlob(b []byte) (raw []byte, ok bool) {
 	}
 	zr := flate.NewReaderDict(bytes.NewReader(comp), []byte(frameDict))
 	defer zr.Close()
-	// Read one byte past the advertised length so a payload that is longer
-	// than declared is caught, not silently truncated.
-	raw = make([]byte, 0, rawLen)
-	buf, err := io.ReadAll(io.LimitReader(zr, int64(rawLen)+1))
-	if err != nil || uint64(len(buf)) != rawLen {
+	// Inflate straight into a buffer of the advertised length, then read
+	// one byte past it: the stream must end exactly there, so a payload
+	// longer than declared is caught, not silently truncated.
+	raw = make([]byte, rawLen)
+	if _, err := io.ReadFull(zr, raw); err != nil {
 		return nil, false
 	}
-	return buf, true
+	var past [1]byte
+	if _, err := io.ReadFull(zr, past[:]); err != io.EOF {
+		return nil, false
+	}
+	return raw, true
 }
 
 // isFramed reports whether b begins with the frame magic (used to keep

@@ -89,6 +89,16 @@ func TestDeframeRejectsCorruption(t *testing.T) {
 			copy(b[len(frameMagic)+16:], sum[:])
 			return append(b, junk...)
 		}(),
+		"truncated-flate": func() []byte {
+			// Valid header and checksum over a flate stream cut short of
+			// its final block: the full payload never arrives.
+			b := frameBlob(raw)
+			comp := b[frameHeader : len(b)-2]
+			binary.LittleEndian.PutUint64(b[len(frameMagic)+8:], uint64(len(comp)))
+			sum := sha256.Sum256(comp)
+			copy(b[len(frameMagic)+16:], sum[:])
+			return b[:frameHeader+len(comp)]
+		}(),
 	}
 	for name, b := range cases {
 		if got, ok := deframeBlob(b); ok {

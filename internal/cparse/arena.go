@@ -1,6 +1,9 @@
 package cparse
 
-import "golclint/internal/cast"
+import (
+	"golclint/internal/cast"
+	"golclint/internal/ctoken"
+)
 
 // slabChunk is the number of nodes allocated per slab chunk. AST nodes are
 // retained for the life of the Result, so chunks are never rewound — the
@@ -15,10 +18,17 @@ type slab[T any] struct {
 }
 
 func (s *slab[T]) alloc(v T) *T {
+	p := s.slot()
+	*p = v
+	return p
+}
+
+// slot returns a pointer to the next slot, zeroed.
+func (s *slab[T]) slot() *T {
 	if len(s.buf) == cap(s.buf) {
 		s.buf = make([]T, 0, slabChunk)
 	}
-	s.buf = append(s.buf, v)
+	s.buf = s.buf[:len(s.buf)+1]
 	return &s.buf[len(s.buf)-1]
 }
 
@@ -86,4 +96,58 @@ type nodeArena struct {
 	ret      slab[cast.Return]
 	varDecl  slab[cast.VarDecl]
 	param    slab[cast.ParamDecl]
+}
+
+// The node kinds below are the bulk of every AST. Storing a whole node
+// into its slot (alloc) is a struct copy too large for registers, which
+// the runtime performs with a bulk write barrier walking the type's
+// pointer map whenever the GC is marking, as it is for much of a parse.
+// Their constructors fill the zeroed slot field by field instead, so each
+// pointer store takes the plain write barrier.
+
+// setPos copies a position into a node field by field.
+func setPos(dst *ctoken.Pos, src ctoken.Pos) {
+	dst.File, dst.Line, dst.Col, dst.Off = src.File, src.Line, src.Col, src.Off
+}
+
+func (a *nodeArena) newIdent(pos ctoken.Pos, name string) *cast.Ident {
+	n := a.ident.slot()
+	setPos(&n.P, pos)
+	n.Name = name
+	return n
+}
+
+func (a *nodeArena) newIntLit(pos ctoken.Pos, text string, v int64) *cast.IntLit {
+	n := a.intLit.slot()
+	setPos(&n.P, pos)
+	n.Text, n.Value = text, v
+	return n
+}
+
+func (a *nodeArena) newBinary(pos ctoken.Pos, op cast.BinaryOp, x, y cast.Expr) *cast.Binary {
+	n := a.binary.slot()
+	setPos(&n.P, pos)
+	n.Op, n.X, n.Y = op, x, y
+	return n
+}
+
+func (a *nodeArena) newUnary(pos ctoken.Pos, op cast.UnaryOp, x cast.Expr) *cast.Unary {
+	n := a.unary.slot()
+	setPos(&n.P, pos)
+	n.Op, n.X = op, x
+	return n
+}
+
+func (a *nodeArena) newAssign(pos ctoken.Pos, op cast.AssignOp, lhs, rhs cast.Expr) *cast.Assign {
+	n := a.assign.slot()
+	setPos(&n.P, pos)
+	n.Op, n.LHS, n.RHS = op, lhs, rhs
+	return n
+}
+
+func (a *nodeArena) newExprStmt(x cast.Expr) *cast.ExprStmt {
+	n := a.exprStmt.slot()
+	setPos(&n.P, x.Pos())
+	n.X = x
+	return n
 }

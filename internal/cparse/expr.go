@@ -19,7 +19,9 @@ func (p *parser) parseExpr() cast.Expr {
 	return e
 }
 
-var assignOps = map[ctoken.Kind]cast.AssignOp{
+// assignOps maps assignment-operator tokens (Kind.IsAssignOp) to their
+// cast ops.
+var assignOps = [ctoken.NumKinds]cast.AssignOp{
 	ctoken.Assign: cast.AssignEq, ctoken.MulEq: cast.AssignMul,
 	ctoken.DivEq: cast.AssignDiv, ctoken.ModEq: cast.AssignMod,
 	ctoken.AddEq: cast.AssignAdd, ctoken.SubEq: cast.AssignSub,
@@ -31,10 +33,10 @@ var assignOps = map[ctoken.Kind]cast.AssignOp{
 // parseAssignExpr parses an assignment expression.
 func (p *parser) parseAssignExpr() cast.Expr {
 	lhs := p.parseCondExpr()
-	if op, ok := assignOps[p.cur().Kind]; ok {
+	if k := p.kind(); k.IsAssignOp() {
 		pos := p.next().Pos
 		rhs := p.parseAssignExpr()
-		return p.ar.assign.alloc(cast.Assign{P: pos, Op: op, LHS: lhs, RHS: rhs})
+		return p.ar.newAssign(pos, assignOps[k], lhs, rhs)
 	}
 	return lhs
 }
@@ -54,7 +56,7 @@ func (p *parser) parseCondExpr() cast.Expr {
 
 // binPrec maps binary operator tokens to precedence levels (higher binds
 // tighter); 0 means not a binary operator.
-var binPrec = map[ctoken.Kind]int{
+var binPrec = [ctoken.NumKinds]int{
 	ctoken.OrOr: 1, ctoken.AndAnd: 2, ctoken.Pipe: 3, ctoken.Caret: 4,
 	ctoken.Amp: 5, ctoken.EqEq: 6, ctoken.NotEq: 6,
 	ctoken.Lt: 7, ctoken.Gt: 7, ctoken.Le: 7, ctoken.Ge: 7,
@@ -62,7 +64,8 @@ var binPrec = map[ctoken.Kind]int{
 	ctoken.Star: 10, ctoken.Slash: 10, ctoken.Percent: 10,
 }
 
-var binOps = map[ctoken.Kind]cast.BinaryOp{
+// binOps maps binary operator tokens (binPrec > 0) to their cast ops.
+var binOps = [ctoken.NumKinds]cast.BinaryOp{
 	ctoken.OrOr: cast.LogOr, ctoken.AndAnd: cast.LogAnd, ctoken.Pipe: cast.BitOr,
 	ctoken.Caret: cast.BitXor, ctoken.Amp: cast.BitAnd, ctoken.EqEq: cast.EqOp,
 	ctoken.NotEq: cast.NeOp, ctoken.Lt: cast.LtOp, ctoken.Gt: cast.GtOp,
@@ -75,14 +78,14 @@ var binOps = map[ctoken.Kind]cast.BinaryOp{
 func (p *parser) parseBinaryExpr(minPrec int) cast.Expr {
 	lhs := p.parseUnaryExpr()
 	for {
-		prec := binPrec[p.cur().Kind]
+		k := p.kind()
+		prec := binPrec[k]
 		if prec == 0 || prec < minPrec {
 			return lhs
 		}
-		op := binOps[p.cur().Kind]
 		pos := p.next().Pos
 		rhs := p.parseBinaryExpr(prec + 1)
-		lhs = p.ar.binary.alloc(cast.Binary{P: pos, Op: op, X: lhs, Y: rhs})
+		lhs = p.ar.newBinary(pos, binOps[k], lhs, rhs)
 	}
 }
 
@@ -97,25 +100,25 @@ func (p *parser) parseUnaryExpr() cast.Expr {
 		if t.Kind == ctoken.Dec {
 			op = cast.PreDec
 		}
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: op, X: x})
+		return p.ar.newUnary(t.Pos, op, x)
 	case ctoken.Star:
 		p.next()
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.Deref, X: p.parseUnaryExpr()})
+		return p.ar.newUnary(t.Pos, cast.Deref, p.parseUnaryExpr())
 	case ctoken.Amp:
 		p.next()
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.AddrOf, X: p.parseUnaryExpr()})
+		return p.ar.newUnary(t.Pos, cast.AddrOf, p.parseUnaryExpr())
 	case ctoken.Plus:
 		p.next()
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.Pos, X: p.parseUnaryExpr()})
+		return p.ar.newUnary(t.Pos, cast.Pos, p.parseUnaryExpr())
 	case ctoken.Minus:
 		p.next()
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.Neg, X: p.parseUnaryExpr()})
+		return p.ar.newUnary(t.Pos, cast.Neg, p.parseUnaryExpr())
 	case ctoken.Not:
 		p.next()
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.LogNot, X: p.parseUnaryExpr()})
+		return p.ar.newUnary(t.Pos, cast.LogNot, p.parseUnaryExpr())
 	case ctoken.Tilde:
 		p.next()
-		return p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.BitNot, X: p.parseUnaryExpr()})
+		return p.ar.newUnary(t.Pos, cast.BitNot, p.parseUnaryExpr())
 	case ctoken.KwSizeof:
 		p.next()
 		if p.at(ctoken.LParen) && p.typeAheadInParens() {
@@ -143,7 +146,7 @@ func (p *parser) typeAheadInParens() bool {
 	save := p.i
 	defer func() { p.i = save }()
 	p.i++ // step over '('
-	switch p.cur().Kind {
+	switch p.kind() {
 	case ctoken.KwVoid, ctoken.KwChar, ctoken.KwShort, ctoken.KwInt,
 		ctoken.KwLong, ctoken.KwFloat, ctoken.KwDouble, ctoken.KwSigned,
 		ctoken.KwUnsigned, ctoken.KwStruct, ctoken.KwUnion, ctoken.KwEnum,
@@ -186,10 +189,10 @@ func (p *parser) parsePostfixExpr() cast.Expr {
 			e = p.ar.fieldSel.alloc(cast.FieldSel{P: t.Pos, X: e, Name: name.Text, Arrow: t.Kind == ctoken.Arrow})
 		case ctoken.Inc:
 			p.next()
-			e = p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.PostInc, X: e})
+			e = p.ar.newUnary(t.Pos, cast.PostInc, e)
 		case ctoken.Dec:
 			p.next()
-			e = p.ar.unary.alloc(cast.Unary{P: t.Pos, Op: cast.PostDec, X: e})
+			e = p.ar.newUnary(t.Pos, cast.PostDec, e)
 		default:
 			return e
 		}
@@ -203,10 +206,13 @@ func (p *parser) parsePrimaryExpr() cast.Expr {
 	switch t.Kind {
 	case ctoken.Ident:
 		p.next()
-		return p.ar.ident.alloc(cast.Ident{P: t.Pos, Name: t.Text})
+		return p.ar.newIdent(t.Pos, t.Text)
 	case ctoken.IntLit:
 		p.next()
-		text := strings.TrimRight(t.Text, "uUlL")
+		text := t.Text
+		if c := text[len(text)-1]; c == 'u' || c == 'U' || c == 'l' || c == 'L' {
+			text = strings.TrimRight(text, "uUlL")
+		}
 		v, err := strconv.ParseInt(text, 0, 64)
 		if err != nil {
 			// Values beyond int64 are clamped; the checker does not fold
@@ -217,7 +223,7 @@ func (p *parser) parsePrimaryExpr() cast.Expr {
 			}
 			v = int64(u)
 		}
-		return p.ar.intLit.alloc(cast.IntLit{P: t.Pos, Text: t.Text, Value: v})
+		return p.ar.newIntLit(t.Pos, t.Text, v)
 	case ctoken.FloatLit:
 		p.next()
 		text := strings.TrimRight(t.Text, "fFlL")
@@ -248,7 +254,7 @@ func (p *parser) parsePrimaryExpr() cast.Expr {
 	default:
 		p.errorf(t.Pos, "expected expression, found %s", t)
 		p.next()
-		return p.ar.intLit.alloc(cast.IntLit{P: t.Pos, Text: "0", Value: 0})
+		return p.ar.newIntLit(t.Pos, "0", 0)
 	}
 }
 

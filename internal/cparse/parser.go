@@ -124,11 +124,19 @@ func (p *parser) errorf(pos ctoken.Pos, format string, args ...interface{}) {
 	}
 }
 
-// cur returns the current token, with control comments filtered out.
-func (p *parser) cur() ctoken.Token {
-	p.filterControls()
-	return p.toks[p.i]
+// cur returns the current token, with control comments filtered out. The
+// pointer aims into the token buffer and is valid until the parse returns;
+// callers copy out the fields they keep.
+func (p *parser) cur() *ctoken.Token {
+	if p.toks[p.i].Kind == ctoken.Annot {
+		p.filterControls()
+	}
+	return &p.toks[p.i]
 }
+
+// kind returns the current token's kind, with control comments filtered
+// out.
+func (p *parser) kind() ctoken.Kind { return p.cur().Kind }
 
 // filterControls consumes any control comments at the cursor, recording
 // them. Speculative lookahead can re-scan a control token after the cursor
@@ -143,9 +151,10 @@ func (p *parser) filterControls() {
 	}
 }
 
-func (p *parser) at(k ctoken.Kind) bool { return p.cur().Kind == k }
+func (p *parser) at(k ctoken.Kind) bool { return p.kind() == k }
 
-func (p *parser) next() ctoken.Token {
+// next consumes the current token and returns it (EOF is never consumed).
+func (p *parser) next() *ctoken.Token {
 	t := p.cur()
 	if t.Kind != ctoken.EOF {
 		p.i++
@@ -162,15 +171,16 @@ func (p *parser) accept(k ctoken.Kind) bool {
 	return false
 }
 
-// expect consumes a token of kind k or reports an error.
-func (p *parser) expect(k ctoken.Kind) ctoken.Token {
+// expect consumes a token of kind k or reports an error, returning a
+// stand-in token of kind k at the offending position.
+func (p *parser) expect(k ctoken.Kind) *ctoken.Token {
 	t := p.cur()
 	if t.Kind == k {
 		p.i++
 		return t
 	}
-	p.errorf(t.Pos, "expected %s, found %s", k, t)
-	return ctoken.Token{Kind: k, Pos: t.Pos}
+	p.errorf(t.Pos, "expected %s, found %s", k, *t)
+	return &ctoken.Token{Kind: k, Pos: t.Pos}
 }
 
 // sync skips tokens until a likely statement/declaration boundary.
@@ -235,7 +245,7 @@ func (p *parser) isTypeStart() bool {
 // isDeclStart reports whether a declaration begins at the cursor
 // (annotations, storage class, or type specifiers).
 func (p *parser) isDeclStart() bool {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case ctoken.Annot, ctoken.KwTypedef, ctoken.KwExtern, ctoken.KwStatic,
 		ctoken.KwAuto, ctoken.KwRegister:
 		return true

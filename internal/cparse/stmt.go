@@ -66,7 +66,7 @@ func (p *parser) parseStmt() cast.Stmt {
 				s.Init = p.parseDeclStmt()
 			} else {
 				e := p.parseExpr()
-				s.Init = p.ar.exprStmt.alloc(cast.ExprStmt{P: e.Pos(), X: e})
+				s.Init = p.ar.newExprStmt(e)
 				p.expect(ctoken.Semi)
 			}
 		} else {
@@ -131,7 +131,7 @@ func (p *parser) parseStmt() cast.Stmt {
 	}
 	e := p.parseExpr()
 	p.expect(ctoken.Semi)
-	return p.ar.exprStmt.alloc(cast.ExprStmt{P: e.Pos(), X: e})
+	return p.ar.newExprStmt(e)
 }
 
 // peekAfterIdentIsColon reports whether the current Ident is immediately
@@ -141,7 +141,7 @@ func (p *parser) peekAfterIdentIsColon() bool {
 	save := p.i
 	defer func() { p.i = save }()
 	p.i++
-	return p.cur().Kind == ctoken.Colon
+	return p.kind() == ctoken.Colon
 }
 
 // parseDeclStmt parses a local declaration statement (consuming ';').

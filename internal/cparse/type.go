@@ -13,7 +13,7 @@ import (
 func (p *parser) parseDeclSpecifiers(as annot.Set) (cast.Storage, *ctypes.Type, annot.Set) {
 	storage := cast.StorageNone
 	var typ *ctypes.Type
-	words := map[string]int{}
+	var words specWords
 	sawBasic := false
 
 	setStorage := func(s cast.Storage, pos ctoken.Pos) {
@@ -47,7 +47,7 @@ func (p *parser) parseDeclSpecifiers(as annot.Set) (cast.Storage, *ctypes.Type, 
 			if typ != nil {
 				p.errorf(t.Pos, "two or more data types in declaration")
 			}
-			words[t.Kind.String()]++
+			words = words.with(t.Kind)
 			sawBasic = true
 		case ctoken.KwStruct, ctoken.KwUnion:
 			if typ != nil || sawBasic {
@@ -86,38 +86,46 @@ done:
 	return storage, typ, as
 }
 
+// specWords is the set of basic type-specifier keywords seen in one
+// declaration, one bit per keyword kind (repeats, as in "long long",
+// collapse).
+type specWords uint64
+
+func (w specWords) with(k ctoken.Kind) specWords { return w | 1<<(k-ctoken.KwAuto) }
+func (w specWords) has(k ctoken.Kind) bool       { return w&(1<<(k-ctoken.KwAuto)) != 0 }
+
 // basicFromWords combines basic type-specifier keywords into a type.
-func basicFromWords(w map[string]int) *ctypes.Type {
-	unsigned := w["unsigned"] > 0
-	signed := w["signed"] > 0
+func basicFromWords(w specWords) *ctypes.Type {
+	unsigned := w.has(ctoken.KwUnsigned)
+	signed := w.has(ctoken.KwSigned)
 	if unsigned && signed {
 		return nil
 	}
 	switch {
-	case w["void"] > 0:
+	case w.has(ctoken.KwVoid):
 		return ctypes.VoidType
-	case w["char"] > 0:
+	case w.has(ctoken.KwChar):
 		if unsigned {
 			return ctypes.UCharType
 		}
 		return ctypes.CharType
-	case w["short"] > 0:
+	case w.has(ctoken.KwShort):
 		if unsigned {
 			return ctypes.UShortType
 		}
 		return ctypes.ShortType
-	case w["long"] > 0 && w["double"] > 0:
+	case w.has(ctoken.KwLong) && w.has(ctoken.KwDouble):
 		return ctypes.DoubleType
-	case w["long"] > 0:
+	case w.has(ctoken.KwLong):
 		if unsigned {
 			return ctypes.ULongType
 		}
 		return ctypes.LongType
-	case w["double"] > 0:
+	case w.has(ctoken.KwDouble):
 		return ctypes.DoubleType
-	case w["float"] > 0:
+	case w.has(ctoken.KwFloat):
 		return ctypes.FloatType
-	case w["int"] > 0 || signed:
+	case w.has(ctoken.KwInt) || signed:
 		if unsigned {
 			return ctypes.UIntType
 		}
@@ -334,7 +342,7 @@ func (p *parser) nestedDeclaratorAhead() bool {
 func (p *parser) skipBalancedParens() {
 	depth := 1
 	for depth > 0 && !p.at(ctoken.EOF) {
-		switch p.cur().Kind {
+		switch p.kind() {
 		case ctoken.LParen:
 			depth++
 		case ctoken.RParen:

@@ -8,7 +8,8 @@ import (
 
 // FuzzLex asserts the lexer's robustness contract on arbitrary bytes: it
 // must terminate without panicking, produce monotonically advancing
-// offsets, and end every stream with EOF. Malformed input is reported via
+// offsets, and end every stream with EOF, and AllInto must give the same
+// tokens and errors as Next. Malformed input is reported via
 // Errors(), never by crashing — the checker runs on whatever bytes a user
 // hands it.
 func FuzzLex(f *testing.F) {
@@ -45,8 +46,10 @@ func FuzzLex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		lx := NewLexer("fuzz.c", src)
 		prevOff := -1
+		var stream []Token
 		for i := 0; ; i++ {
 			tok := lx.Next()
+			stream = append(stream, tok)
 			if tok.Kind == EOF {
 				break
 			}
@@ -71,5 +74,48 @@ func FuzzLex(f *testing.F) {
 		if tok := lx.Next(); tok.Kind != EOF {
 			t.Fatalf("token after EOF: %v", tok)
 		}
+		checkAllInto(t, src, stream, lx.Errors())
 	})
+}
+
+// checkAllInto asserts that AllInto, which scans each token in place into
+// its buffer slot, yields exactly the stream and errors that Next does,
+// also when a Peek came first. The buffer it fills holds stale tokens, so
+// a field the in-place scan forgets to overwrite shows as a mismatch.
+func checkAllInto(t *testing.T, src string, want []Token, wantErrs []*LexError) {
+	t.Helper()
+	for _, peekFirst := range []bool{false, true} {
+		lx := NewLexer("fuzz.c", src)
+		if peekFirst {
+			lx.Peek()
+		}
+		checkStream(t, lx, want, wantErrs)
+	}
+}
+
+func checkStream(t *testing.T, lx *Lexer, want []Token, wantErrs []*LexError) {
+	t.Helper()
+	stale := Token{Kind: StringLit, Text: "stale", Pos: Pos{File: "stale.c", Line: 99, Col: 99, Off: 99}}
+	buf := make([]Token, 0, len(want)/2+1)
+	for len(buf) < cap(buf) {
+		buf = append(buf, stale)
+	}
+	got := lx.AllInto(buf[:0])
+	if len(got) != len(want) {
+		t.Fatalf("AllInto gave %d tokens, Next gave %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("token %d: AllInto gave %#v, Next gave %#v", i, got[i], want[i])
+		}
+	}
+	gotErrs := lx.Errors()
+	if len(gotErrs) != len(wantErrs) {
+		t.Fatalf("AllInto reported %d lex errors, Next reported %d", len(gotErrs), len(wantErrs))
+	}
+	for i := range wantErrs {
+		if *gotErrs[i] != *wantErrs[i] {
+			t.Fatalf("lex error %d: AllInto gave %v, Next gave %v", i, gotErrs[i], wantErrs[i])
+		}
+	}
 }

@@ -74,25 +74,68 @@ type InternTable interface {
 
 // LocalInterner is a lock-free read-through cache in front of a shared
 // Interner, for use by a single worker: repeat occurrences of a word hit
-// the local map with no atomic operations, and only first occurrences
+// the local table with no atomic operations, and only first occurrences
 // (per worker) touch the shared table. Atoms stay canonical across
 // workers because misses resolve through the shared Interner.
+//
+// The local table is open-addressed (linear probing, power-of-two size,
+// at most half full) and keyed by an FNV-1a hash of the spelling: a probe
+// hashes a few bytes and compares one or two strings, cheaper than a map
+// lookup for the short words C programs are made of.
 type LocalInterner struct {
 	shared *Interner
-	m      map[string]internEntry
+	slots  []internEntry // a free slot has empty text, which no word spells
+	n      int
 }
 
 // NewLocalInterner returns a LocalInterner caching in front of shared.
 func NewLocalInterner(shared *Interner) *LocalInterner {
-	return &LocalInterner{shared: shared, m: make(map[string]internEntry, 256)}
+	return &LocalInterner{shared: shared, slots: make([]internEntry, 512)}
 }
 
 // Intern implements InternTable.
 func (l *LocalInterner) Intern(s string) (string, Kind) {
-	if e, ok := l.m[s]; ok {
-		return e.text, e.kind
+	if s == "" {
+		return l.shared.Intern(s)
+	}
+	mask := uint32(len(l.slots) - 1)
+	i := hashWord(s) & mask
+	for ; l.slots[i].text != ""; i = (i + 1) & mask {
+		if e := &l.slots[i]; e.text == s {
+			return e.text, e.kind
+		}
 	}
 	text, kind := l.shared.Intern(s)
-	l.m[text] = internEntry{text: text, kind: kind}
+	l.slots[i] = internEntry{text: text, kind: kind}
+	if l.n++; 2*l.n > len(l.slots) {
+		l.grow()
+	}
 	return text, kind
+}
+
+// grow doubles the table and reinserts every atom.
+func (l *LocalInterner) grow() {
+	old := l.slots
+	l.slots = make([]internEntry, 2*len(old))
+	mask := uint32(len(l.slots) - 1)
+	for _, e := range old {
+		if e.text == "" {
+			continue
+		}
+		i := hashWord(e.text) & mask
+		for l.slots[i].text != "" {
+			i = (i + 1) & mask
+		}
+		l.slots[i] = e
+	}
+}
+
+// hashWord is 32-bit FNV-1a over the bytes of s.
+func hashWord(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }

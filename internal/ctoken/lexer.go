@@ -2,6 +2,7 @@ package ctoken
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -85,12 +86,6 @@ func (lx *Lexer) advance() {
 	lx.off++
 }
 
-func (lx *Lexer) advanceN(n int) {
-	for i := 0; i < n; i++ {
-		lx.advance()
-	}
-}
-
 // bump advances the cursor n bytes over a span known to contain no
 // newlines, updating the column in one step instead of per byte.
 func (lx *Lexer) bump(n int) {
@@ -114,7 +109,7 @@ func (lx *Lexer) skipBlanks() {
 		case c == 0:
 			return
 		case isSpace(c):
-			lx.advance()
+			lx.skipSpaces()
 		case c == '/' && lx.at(1) == '/':
 			for lx.cur() != 0 && lx.cur() != '\n' {
 				lx.advance()
@@ -140,6 +135,25 @@ func (lx *Lexer) skipBlanks() {
 			return
 		}
 	}
+}
+
+// skipSpaces consumes a run of whitespace, keeping the cursor, line and
+// column in locals until the run ends.
+func (lx *Lexer) skipSpaces() {
+	off, line, col := lx.off, lx.line, lx.col
+scan:
+	for ; off < len(lx.src); off++ {
+		switch lx.src[off] {
+		case '\n':
+			line++
+			col = 1
+		case ' ', '\t', '\r', '\v', '\f':
+			col++
+		default:
+			break scan
+		}
+	}
+	lx.off, lx.line, lx.col = off, line, col
 }
 
 // lineMarker parses "# <line> \"file\"" directives (and skips any other
@@ -234,13 +248,15 @@ func (lx *Lexer) Next() Token {
 		lx.hasPeeked = false
 		return lx.peeked
 	}
-	return lx.scan()
+	var t Token
+	lx.scan(&t)
+	return t
 }
 
 // Peek returns the next token without consuming it.
 func (lx *Lexer) Peek() Token {
 	if !lx.hasPeeked {
-		lx.peeked = lx.scan()
+		lx.scan(&lx.peeked)
 		lx.hasPeeked = true
 	}
 	return lx.peeked
@@ -254,81 +270,101 @@ func (lx *Lexer) All() []Token {
 
 // AllInto is All appending into buf (reusing its capacity), so a caller
 // lexing many files — the parse worker's Session — amortizes the token
-// slice across all of them.
+// slice across all of them. Each token is scanned straight into its slot
+// of buf: no Token is built elsewhere and copied in.
 func (lx *Lexer) AllInto(buf []Token) []Token {
+	if lx.hasPeeked {
+		lx.hasPeeked = false
+		buf = append(buf, lx.peeked)
+		if lx.peeked.Kind == EOF {
+			return buf
+		}
+	}
 	for {
-		t := lx.Next()
-		buf = append(buf, t)
+		buf = slices.Grow(buf, 1)
+		buf = buf[:len(buf)+1]
+		t := &buf[len(buf)-1]
+		lx.scan(t)
 		if t.Kind == EOF {
 			return buf
 		}
 	}
 }
 
-func (lx *Lexer) scan() Token {
-	lx.skipBlanks()
-	p := lx.pos()
-	c := lx.cur()
-	switch {
-	case c == 0:
-		return Token{Kind: EOF, Pos: p}
-	case c == '/' && lx.at(1) == '*' && lx.at(2) == '@':
-		return lx.scanAnnot(p)
-	case isLetter(c):
-		start := lx.off
-		off := lx.off
-		for off < len(lx.src) && isIdent(lx.src[off]) {
-			off++
+// scan scans the next token into t, overwriting every field (t may be a
+// reused buffer slot holding a stale token).
+func (lx *Lexer) scan(t *Token) {
+	for {
+		lx.skipBlanks()
+		// Field-by-field stores: a whole-struct copy into a heap slot
+		// takes the bulk write-barrier path while the GC is marking.
+		t.Pos.File, t.Pos.Line, t.Pos.Col, t.Pos.Off = lx.file, lx.line, lx.col, lx.off
+		c := lx.cur()
+		switch {
+		case c == 0:
+			t.Kind, t.Text = EOF, ""
+		case c == '/' && lx.at(1) == '*' && lx.at(2) == '@':
+			lx.scanAnnot(t)
+		case isLetter(c):
+			start := lx.off
+			off := lx.off
+			for off < len(lx.src) && isIdent(lx.src[off]) {
+				off++
+			}
+			lx.bump(off - start)
+			text := lx.src[start:off]
+			if lx.in != nil {
+				t.Text, t.Kind = lx.in.Intern(text)
+			} else if kw, ok := Keywords[text]; ok {
+				t.Kind, t.Text = kw, text
+			} else {
+				t.Kind, t.Text = Ident, text
+			}
+		case isDigit(c) || (c == '.' && isDigit(lx.at(1))):
+			lx.scanNumber(t)
+		case c == '\'':
+			lx.scanQuoted(t, CharLit, '\'', "character")
+		case c == '"':
+			lx.scanQuoted(t, StringLit, '"', "string")
+		default:
+			if !lx.scanPunct(t) {
+				continue // unexpected byte: reported and skipped
+			}
 		}
-		lx.bump(off - start)
-		text := lx.src[start:off]
-		if lx.in != nil {
-			atom, kind := lx.in.Intern(text)
-			return Token{Kind: kind, Text: atom, Pos: p}
-		}
-		if kw, ok := Keywords[text]; ok {
-			return Token{Kind: kw, Text: text, Pos: p}
-		}
-		return Token{Kind: Ident, Text: text, Pos: p}
-	case isDigit(c) || (c == '.' && isDigit(lx.at(1))):
-		return lx.scanNumber(p)
-	case c == '\'':
-		return lx.scanChar(p)
-	case c == '"':
-		return lx.scanString(p)
-	default:
-		return lx.scanPunct(p)
+		return
 	}
 }
 
 // scanAnnot scans an annotation comment /*@ ... @*/. Its Text is the interior
 // with surrounding whitespace trimmed. Both "/*@null@*/" and the multi-word
 // form "/*@ null out only @*/" are accepted; the parser splits words.
-func (lx *Lexer) scanAnnot(p Pos) Token {
+func (lx *Lexer) scanAnnot(t *Token) {
+	t.Kind = Annot
 	lx.bump(3) // consume /*@
 	start := lx.off
 	for {
 		c := lx.cur()
 		if c == 0 {
-			lx.errorf(p, "unterminated annotation comment")
-			return Token{Kind: Annot, Text: strings.TrimSpace(lx.src[start:lx.off]), Pos: p}
+			lx.errorf(t.Pos, "unterminated annotation comment")
+			t.Text = strings.TrimSpace(lx.src[start:lx.off])
+			return
 		}
 		// Terminators: "@*/" (canonical) or "*/" (tolerated, as LCLint does).
 		if c == '@' && lx.at(1) == '*' && lx.at(2) == '/' {
-			text := lx.src[start:lx.off]
+			t.Text = strings.TrimSpace(lx.src[start:lx.off])
 			lx.bump(3)
-			return Token{Kind: Annot, Text: strings.TrimSpace(text), Pos: p}
+			return
 		}
 		if c == '*' && lx.at(1) == '/' {
-			text := lx.src[start:lx.off]
+			t.Text = strings.TrimSpace(lx.src[start:lx.off])
 			lx.bump(2)
-			return Token{Kind: Annot, Text: strings.TrimSpace(text), Pos: p}
+			return
 		}
 		lx.advance()
 	}
 }
 
-func (lx *Lexer) scanNumber(p Pos) Token {
+func (lx *Lexer) scanNumber(t *Token) {
 	start := lx.off
 	isFloat := false
 	// Digits, dots, exponents, and suffixes never contain newlines, so the
@@ -386,11 +422,11 @@ func (lx *Lexer) scanNumber(p Pos) Token {
 		break
 	}
 	lx.bump(off - start)
-	kind := IntLit
+	t.Kind = IntLit
 	if isFloat {
-		kind = FloatLit
+		t.Kind = FloatLit
 	}
-	return Token{Kind: kind, Text: src[start:off], Pos: p}
+	t.Text = src[start:off]
 }
 
 func (lx *Lexer) scanEscape(p Pos) {
@@ -416,45 +452,33 @@ func (lx *Lexer) scanEscape(p Pos) {
 	}
 }
 
-func (lx *Lexer) scanChar(p Pos) Token {
+// scanQuoted scans a character (quote ') or string (quote ") literal,
+// keeping the raw spelling, quotes and escapes included, as its Text.
+func (lx *Lexer) scanQuoted(t *Token, kind Kind, quote byte, what string) {
+	t.Kind = kind
 	start := lx.off
 	lx.advance() // opening quote
-	for lx.cur() != '\'' {
+	for lx.cur() != quote {
 		if lx.cur() == 0 || lx.cur() == '\n' {
-			lx.errorf(p, "unterminated character literal")
-			return Token{Kind: CharLit, Text: lx.src[start:lx.off], Pos: p}
+			lx.errorf(t.Pos, "unterminated %s literal", what)
+			t.Text = lx.src[start:lx.off]
+			return
 		}
 		if lx.cur() == '\\' {
-			lx.scanEscape(p)
+			lx.scanEscape(t.Pos)
 		} else {
 			lx.advance()
 		}
 	}
 	lx.advance() // closing quote
-	return Token{Kind: CharLit, Text: lx.src[start:lx.off], Pos: p}
-}
-
-func (lx *Lexer) scanString(p Pos) Token {
-	start := lx.off
-	lx.advance() // opening quote
-	for lx.cur() != '"' {
-		if lx.cur() == 0 || lx.cur() == '\n' {
-			lx.errorf(p, "unterminated string literal")
-			return Token{Kind: StringLit, Text: lx.src[start:lx.off], Pos: p}
-		}
-		if lx.cur() == '\\' {
-			lx.scanEscape(p)
-		} else {
-			lx.advance()
-		}
-	}
-	lx.advance() // closing quote
-	return Token{Kind: StringLit, Text: lx.src[start:lx.off], Pos: p}
+	t.Text = lx.src[start:lx.off]
 }
 
 // scanPunct classifies operators with a switch on the leading byte and at
-// most two lookaheads — no map probes, no per-token substrings.
-func (lx *Lexer) scanPunct(p Pos) Token {
+// most two lookaheads — no map probes, no per-token substrings. An
+// unexpected byte is reported and skipped, and scanPunct returns false
+// without setting t.
+func (lx *Lexer) scanPunct(t *Token) bool {
 	c := lx.cur()
 	var k Kind
 	n := 1
@@ -588,10 +612,11 @@ func (lx *Lexer) scanPunct(p Pos) Token {
 			k = Gt
 		}
 	default:
-		lx.errorf(p, "unexpected character %q", string(rune(c)))
+		lx.errorf(t.Pos, "unexpected character %q", string(rune(c)))
 		lx.advance()
-		return lx.scan()
+		return false
 	}
 	lx.bump(n)
-	return Token{Kind: k, Pos: p}
+	t.Kind, t.Text = k, ""
+	return true
 }

@@ -106,7 +106,9 @@ const (
 	OrEq     // |=
 	Ellipsis // ...
 
-	kindMax
+	// NumKinds is the number of token kinds: tables indexed by Kind
+	// (such as the parser's operator tables) have this length.
+	NumKinds
 )
 
 var kindNames = map[Kind]string{

@@ -329,35 +329,44 @@ func (p *Program) collectEnums(t *ctypes.Type) {
 }
 
 // globalsUsed scans a function body for references to known globals.
-// Locally shadowed names are excluded.
+// Names declared as a parameter or as a local anywhere in the body are
+// excluded, wherever the declaration sits relative to the use. One walk
+// collects both the global references and the local declarations; the
+// result is sorted and deduplicated, and nil when no global is used.
 func (p *Program) globalsUsed(f *cast.FuncDef) []string {
-	shadow := map[string]bool{}
-	for _, prm := range f.Params {
-		shadow[prm.Name] = true
-	}
+	var used, locals []string
 	cast.Inspect(f.Body, func(n cast.Node) bool {
-		if ds, ok := n.(*cast.DeclStmt); ok {
-			for _, d := range ds.Decls {
+		switch v := n.(type) {
+		case *cast.Ident:
+			if _, isGlobal := p.Globals[v.Name]; isGlobal {
+				used = append(used, v.Name)
+			}
+		case *cast.DeclStmt:
+			for _, d := range v.Decls {
 				if vd, ok := d.(*cast.VarDecl); ok {
-					shadow[vd.Name] = true
+					locals = append(locals, vd.Name)
 				}
 			}
 		}
 		return true
 	})
-	seen := map[string]bool{}
-	cast.Inspect(f.Body, func(n cast.Node) bool {
-		if id, ok := n.(*cast.Ident); ok && !shadow[id.Name] {
-			if _, isGlobal := p.Globals[id.Name]; isGlobal {
-				seen[id.Name] = true
-			}
-		}
-		return true
-	})
+	if len(used) == 0 {
+		return nil
+	}
+	for _, prm := range f.Params {
+		locals = append(locals, prm.Name)
+	}
+	sort.Strings(used)
+	sort.Strings(locals)
 	var names []string
-	for n := range seen {
+	for i, n := range used {
+		if i > 0 && n == used[i-1] {
+			continue
+		}
+		if j := sort.SearchStrings(locals, n); j < len(locals) && locals[j] == n {
+			continue
+		}
 		names = append(names, n)
 	}
-	sort.Strings(names)
 	return names
 }

@@ -1,13 +1,19 @@
 package sema
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"golclint/internal/annot"
 	"golclint/internal/cast"
 	"golclint/internal/cparse"
+	"golclint/internal/cpp"
 	"golclint/internal/flags"
+	"golclint/internal/testgen"
 )
 
 func analyze(t *testing.T, srcs ...string) *Program {
@@ -180,6 +186,121 @@ void both(void) { count++; gname = 0; }
 	b, _ := p.Lookup("both")
 	if len(b.GlobalsUsed) != 2 {
 		t.Fatalf("both globals = %v", b.GlobalsUsed)
+	}
+}
+
+// A global is left out of GlobalsUsed when the function declares the same
+// name as a parameter or as a local anywhere in its body, before or after
+// the use and at any block depth.
+func TestGlobalsUsedShadowing(t *testing.T) {
+	src := `extern char *gname;
+extern int count;
+int total;
+void param(int count) { count = 1; gname = 0; }
+void after(void) { count++; total = 2; int count; }
+void nested(void) { gname = 0; total++; if (total) { char *gname; gname = 0; } }
+void deep(void) { while (total) { { int total; total = count; } } }
+void none(int x) { int y; y = x; }
+void allshadowed(char *gname) { int count; int total; count = total; gname = 0; }
+void repeat(void) { total = count + count * total; count = total; }
+`
+	p := analyze(t, src)
+	want := map[string][]string{
+		"param":       {"gname"},
+		"after":       {"total"},
+		"nested":      {"total"},
+		"deep":        {"count"},
+		"none":        nil,
+		"allshadowed": nil,
+		"repeat":      {"count", "total"},
+	}
+	for name, w := range want {
+		sig, _ := p.Lookup(name)
+		if !reflect.DeepEqual(sig.GlobalsUsed, w) {
+			t.Errorf("%s: GlobalsUsed = %#v, want %#v", name, sig.GlobalsUsed, w)
+		}
+	}
+}
+
+// globalsUsedTwoWalk is the reference GlobalsUsed: one walk collects the
+// shadowing declarations, a second the global references.
+func globalsUsedTwoWalk(p *Program, f *cast.FuncDef) []string {
+	shadow := map[string]bool{}
+	for _, prm := range f.Params {
+		shadow[prm.Name] = true
+	}
+	cast.Inspect(f.Body, func(n cast.Node) bool {
+		if ds, ok := n.(*cast.DeclStmt); ok {
+			for _, d := range ds.Decls {
+				if vd, ok := d.(*cast.VarDecl); ok {
+					shadow[vd.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	seen := map[string]bool{}
+	cast.Inspect(f.Body, func(n cast.Node) bool {
+		if id, ok := n.(*cast.Ident); ok && !shadow[id.Name] {
+			if _, isGlobal := p.Globals[id.Name]; isGlobal {
+				seen[id.Name] = true
+			}
+		}
+		return true
+	})
+	var names []string
+	for n := range seen {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// GlobalsUsed feeds library fingerprints, so on real programs it must equal
+// the reference exactly: same names, same order, nil when empty.
+func TestGlobalsUsedMatchesReference(t *testing.T) {
+	bugs := map[testgen.BugKind]int{}
+	for _, k := range testgen.AllBugKinds() {
+		bugs[k] = 1
+	}
+	gen := testgen.Generate(testgen.Config{Seed: 5, Modules: 6, FuncsPer: 4, StmtsPer: 12, Annotate: true, Bugs: bugs})
+	files := map[string]string{}
+	for name, src := range gen.Files {
+		files[name] = src
+	}
+	corpus, _ := filepath.Glob("../../testdata/corpus/*.c")
+	for _, path := range corpus {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = string(b)
+	}
+	var units []*cast.Unit
+	for name, src := range files {
+		pp := cpp.New(cpp.MapIncluder(gen.Headers))
+		pp.Define("NULL", "((void*)0)")
+		units = append(units, cparse.Parse(name, pp.Process(name, src)).Unit)
+	}
+	p := Analyze(units)
+	withGlobals := 0
+	for _, u := range units {
+		for _, f := range u.Funcs() {
+			sig := p.Funcs[f.Name]
+			if sig.Pos != f.Pos() {
+				continue // a later definition of the same name won
+			}
+			want := globalsUsedTwoWalk(p, f)
+			if !reflect.DeepEqual(sig.GlobalsUsed, want) {
+				t.Errorf("%s: GlobalsUsed = %#v, want %#v", f.Name, sig.GlobalsUsed, want)
+			}
+			if len(want) > 0 {
+				withGlobals++
+			}
+		}
+	}
+	if withGlobals == 0 {
+		t.Fatal("no function uses a global: the comparison checked nothing")
 	}
 }
 
