@@ -255,3 +255,22 @@ func TestKeyHasherFileDiscrimination(t *testing.T) {
 		t.Errorf("same stream hashed differently: %s vs %s", a, b)
 	}
 }
+
+// The key derivation is frozen: every fleet's shared cache is addressed by
+// it, so a silent change would turn the next job into a full cold check.
+// These hex values must never change without a deliberate cache-version
+// bump.
+func TestKeyPinned(t *testing.T) {
+	files := map[string]string{"b.c": "int b;\n", "a.c": "# 1 \"a.c\"\nint a;\n", "": ""}
+	if got, want := Key("golclint-test", "+null -mustfree", files),
+		"3804cfb0ad1dc8a491d22ad6177aa926258e8b00aa6f23a2181a70caaf558de8"; got != want {
+		t.Errorf("Key = %s, want %s", got, want)
+	}
+	k := NewKeyHasher("golclint-test", "+null -mustfree")
+	k.File("a.c", "# 1 \"a.c\"\nint a;\n", nil)
+	k.File("b.c", "int b;\n", []string{"b.c:1: bad #if expression", ""})
+	k.File("c.c", "", []string{})
+	if got, want := k.Sum(), "deb3e5bd03cb2d24a8014701b5a2e90f4f14b384f66af77852eedb3fb8f37e3c"; got != want {
+		t.Errorf("KeyHasher.Sum = %s, want %s", got, want)
+	}
+}

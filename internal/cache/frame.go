@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
+	"sync"
 )
 
 // Blob framing. Every entry persisted on disk or shipped over the blob
@@ -37,11 +38,34 @@ const (
 	maxFrameBytes = 256 << 20
 )
 
+// frameDictBytes is frameDict as the byte slice the flate API takes,
+// converted once rather than on every frame.
+var frameDictBytes = []byte(frameDict)
+
+// inflater is a reusable raw-DEFLATE reader over a reusable source. A
+// fresh flate reader allocates its ~40 KB window and tables, which made
+// reader construction the largest single allocation of a warm cache read.
+// Pooled readers are Reset onto each frame's payload and the preset
+// dictionary before every use, so no state (a failed inflate's error
+// included) carries from one frame to the next. Writers are not pooled: a
+// best-compression writer holds about 1 MB, which a pool would keep live
+// between Puts, and the warm path rarely writes.
+type inflater struct {
+	src bytes.Reader
+	zr  io.Reader
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := &inflater{}
+	f.zr = flate.NewReader(&f.src)
+	return f
+}}
+
 // frameBlob wraps raw entry bytes in the compressed, checksummed wire
 // frame. It never fails: flate over a byte slice cannot error.
 func frameBlob(raw []byte) []byte {
 	var comp bytes.Buffer
-	zw, _ := flate.NewWriterDict(&comp, flate.BestCompression, []byte(frameDict))
+	zw, _ := flate.NewWriterDict(&comp, flate.BestCompression, frameDictBytes)
 	zw.Write(raw)
 	zw.Close()
 
@@ -75,17 +99,22 @@ func deframeBlob(b []byte) (raw []byte, ok bool) {
 	if sha256.Sum256(comp) != [sha256.Size]byte(sum) {
 		return nil, false
 	}
-	zr := flate.NewReaderDict(bytes.NewReader(comp), []byte(frameDict))
-	defer zr.Close()
+	f := inflaters.Get().(*inflater)
+	defer func() {
+		f.src.Reset(nil) // do not pin the caller's blob while pooled
+		inflaters.Put(f)
+	}()
+	f.src.Reset(comp)
+	f.zr.(flate.Resetter).Reset(&f.src, frameDictBytes)
 	// Inflate straight into a buffer of the advertised length, then read
 	// one byte past it: the stream must end exactly there, so a payload
 	// longer than declared is caught, not silently truncated.
 	raw = make([]byte, rawLen)
-	if _, err := io.ReadFull(zr, raw); err != nil {
+	if _, err := io.ReadFull(f.zr, raw); err != nil {
 		return nil, false
 	}
 	var past [1]byte
-	if _, err := io.ReadFull(zr, past[:]); err != io.EOF {
+	if _, err := io.ReadFull(f.zr, past[:]); err != io.EOF {
 		return nil, false
 	}
 	return raw, true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -29,6 +30,31 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// Frame bytes are frozen: stores written by earlier builds must keep
+// hitting, so these digests never change. Each frame is built twice to
+// show framing keeps no state from one frame to the next.
+func TestFramePinned(t *testing.T) {
+	key := Key("v1", "", map[string]string{"a.c": "int x;"})
+	entry, err := encodeEntry(key, testEntry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		raw  []byte
+		want string
+	}{
+		{entry, "fd5da8f783e7bed015261debf05d0592e15c860f9461d5316431263911a34c0c"},
+		{nil, "2347787ca32c998778b218b0e24df1d27f4254fde0d0912481ff999fb356402c"},
+		{bytes.Repeat([]byte("abcdefgh"), 1<<12), "e3c1ff9bc0c8c5e3cf0447ea684f2a0e2cbb3ea095bb241b46ea6628084b3c1a"},
+	} {
+		for rep := 0; rep < 2; rep++ {
+			if got := fmt.Sprintf("%x", sha256.Sum256(frameBlob(c.raw))); got != c.want {
+				t.Errorf("frame %d (build %d): sha256 %s, want %s", i, rep, got, c.want)
+			}
+		}
+	}
+}
+
 func TestFrameCompresses(t *testing.T) {
 	// Cache entries are JSON: highly repetitive. The frame must beat the raw
 	// size on anything resembling a real entry.
@@ -39,16 +65,15 @@ func TestFrameCompresses(t *testing.T) {
 	}
 }
 
-// Every malformed frame must deframe to a miss — never a panic, never a
-// partial payload.
-func TestDeframeRejectsCorruption(t *testing.T) {
-	raw := []byte(`{"schema":"golclint-cache/v1","key":"abc"}`)
-	good := frameBlob(raw)
+// corruptFrames returns raw's good frame and malformed variants of it,
+// each of which must deframe to a miss.
+func corruptFrames(raw []byte) (good []byte, cases map[string][]byte) {
+	good = frameBlob(raw)
 
 	mutate := func(f func(b []byte) []byte) []byte {
 		return f(append([]byte(nil), good...))
 	}
-	cases := map[string][]byte{
+	cases = map[string][]byte{
 		"empty":       nil,
 		"short":       good[:frameHeader-1],
 		"bad-magic":   mutate(func(b []byte) []byte { b[0] ^= 0xff; return b }),
@@ -100,6 +125,14 @@ func TestDeframeRejectsCorruption(t *testing.T) {
 			return b[:frameHeader+len(comp)]
 		}(),
 	}
+	return good, cases
+}
+
+// Every malformed frame must deframe to a miss — never a panic, never a
+// partial payload.
+func TestDeframeRejectsCorruption(t *testing.T) {
+	raw := []byte(`{"schema":"golclint-cache/v1","key":"abc"}`)
+	good, cases := corruptFrames(raw)
 	for name, b := range cases {
 		if got, ok := deframeBlob(b); ok {
 			t.Errorf("%s: deframed corrupt blob to %d bytes", name, len(got))
@@ -108,5 +141,25 @@ func TestDeframeRejectsCorruption(t *testing.T) {
 
 	if got, ok := deframeBlob(good); !ok || !bytes.Equal(got, raw) {
 		t.Fatal("control: good frame failed to deframe")
+	}
+}
+
+// failingFrames names the corrupt frames that fail inside the inflater
+// itself (not in the header or checksum checks), so a pooled reader is left
+// mid-stream or in an error state.
+var failingFrames = []string{"not-flate", "truncated-flate", "raw-len-high"}
+
+// Inflaters are pooled: a reader that just failed on a corrupt payload
+// must, once Reset, inflate the next good frame exactly.
+func TestDeframeAfterFailedInflate(t *testing.T) {
+	raw := []byte(`{"schema":"golclint-cache/v1","key":"abc"}`)
+	good, cases := corruptFrames(raw)
+	for _, name := range failingFrames {
+		if _, ok := deframeBlob(cases[name]); ok {
+			t.Fatalf("%s: corrupt frame deframed", name)
+		}
+		if got, ok := deframeBlob(good); !ok || !bytes.Equal(got, raw) {
+			t.Errorf("%s: good frame after it deframed to %q, %v", name, got, ok)
+		}
 	}
 }

@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -195,4 +199,107 @@ func FuzzRemoteStore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// blobStores returns a remote store and a disk cache holding the same framed
+// blobs, plus a function that (re)stores a blob in both.
+func blobStores(t *testing.T) (stores map[string]Store, set func(key string, b []byte)) {
+	t.Helper()
+	h := &blobHandler{blobs: map[string][]byte{}}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	disk, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set = func(key string, b []byte) {
+		h.mu.Lock()
+		h.blobs[key] = b
+		h.mu.Unlock()
+		// Written directly, not through PutBytes, so corrupt frames land
+		// on disk too.
+		path := disk.path(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return map[string]Store{"remote": NewRemoteStore(srv.URL), "disk": disk}, set
+}
+
+// On one store, a Get whose frame fails inside the (pooled) inflater must
+// not spoil the next Get: the good entry read after each failing frame
+// decodes exactly as it did before any failure.
+func TestStoreGetAfterFailedInflate(t *testing.T) {
+	stores, set := blobStores(t)
+	goodKey := Key("v1", "", map[string]string{"a.c": "int x;"})
+	badKey := Key("v1", "", map[string]string{"b.c": "int y;"})
+	raw, err := encodeEntry(goodKey, testEntry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, cases := corruptFrames(raw)
+	set(goodKey, good)
+	for sname, st := range stores {
+		want, ok := st.Get(goodKey)
+		if !ok {
+			t.Fatalf("%s: good entry missed", sname)
+		}
+		for _, name := range failingFrames {
+			set(badKey, cases[name])
+			if _, ok := st.Get(badKey); ok {
+				t.Errorf("%s/%s: corrupt frame hit", sname, name)
+			}
+			if got, ok := st.Get(goodKey); !ok || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: good entry after it = %+v, %v", sname, name, got, ok)
+			}
+		}
+	}
+}
+
+// Concurrent Gets on one store share the inflater pool; under -race every
+// goroutine must read back exactly the entries a serial Get returns, with
+// failing frames interleaved.
+func TestStoreConcurrentGets(t *testing.T) {
+	stores, set := blobStores(t)
+	var keys []string
+	for i := 0; i < 6; i++ {
+		key := Key("v1", "", map[string]string{"m.c": fmt.Sprintf("int x%d;", i)})
+		e := testEntry()
+		e.Suppressed = i
+		e.Deps = map[string]string{fmt.Sprintf("f%d", i): "fp"}
+		raw, err := encodeEntry(key, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, cases := corruptFrames(raw)
+		if i%2 == 1 {
+			good = cases[failingFrames[i/2]]
+		}
+		set(key, good)
+		keys = append(keys, key)
+	}
+	for sname, st := range stores {
+		want := make([]*Entry, len(keys))
+		for i, k := range keys {
+			want[i], _ = st.Get(k)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < 10; r++ {
+					i := (g + r) % len(keys)
+					got, _ := st.Get(keys[i])
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%s: goroutine %d key %d = %+v, want %+v", sname, g, i, got, want[i])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }

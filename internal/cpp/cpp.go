@@ -18,6 +18,7 @@ package cpp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,6 +83,7 @@ type Macro struct {
 // predefinitions from scratch for each file.
 type BaseDefines struct {
 	macros map[string]*Macro
+	names  nameFilter
 }
 
 // NewBaseDefines builds a shared base layer from name -> body pairs.
@@ -89,8 +91,28 @@ func NewBaseDefines(defs map[string]string) *BaseDefines {
 	b := &BaseDefines{macros: make(map[string]*Macro, len(defs))}
 	for k, v := range defs {
 		b.macros[k] = &Macro{Name: k, Body: v}
+		b.names.add(k)
 	}
 	return b
+}
+
+// nameFilter is a 64-bit set over the first bytes of macro names, folded
+// modulo 64. It is conservative: a name whose first byte is absent was
+// never defined, while a present bit only means "look in the maps". Most
+// identifiers in C source are not macros, and the filter lets them skip
+// both map lookups. It is only ever added to — #undef leaves it alone,
+// since a stale bit costs only a lookup — and Reset restores the base
+// layer's set.
+type nameFilter uint64
+
+func (f *nameFilter) add(name string) {
+	if name != "" {
+		*f |= 1 << (name[0] & 63)
+	}
+}
+
+func (f nameFilter) mayHave(name string) bool {
+	return name != "" && f&(1<<(name[0]&63)) != 0
 }
 
 // Preprocessor holds macro state across files. Macro definitions from
@@ -104,9 +126,9 @@ type Preprocessor struct {
 	errs   []*Error
 	depth  int
 
-	buf      []byte          // reusable expansion output buffer
-	busy     map[string]bool // reusable recursion guard (empty between lines)
-	linePool [][]logicalLine // reusable logical-line scratch, one per include depth
+	buf   []byte          // reusable expansion output buffer
+	busy  map[string]bool // reusable recursion guard (empty between lines)
+	names nameFilter      // every name defined since Reset, base layer included
 }
 
 // maxIncludeDepth bounds nested/recursive inclusion.
@@ -115,13 +137,15 @@ const maxIncludeDepth = 40
 // New returns a Preprocessor using inc to resolve #include directives.
 // A nil inc rejects all includes.
 func New(inc Includer) *Preprocessor {
-	return &Preprocessor{inc: inc, macros: map[string]*Macro{}}
+	return NewShared(inc, nil)
 }
 
 // NewShared is New with a shared immutable base-define layer underneath
 // the per-run macro table.
 func NewShared(inc Includer, base *BaseDefines) *Preprocessor {
-	return &Preprocessor{inc: inc, base: base, macros: map[string]*Macro{}}
+	pp := &Preprocessor{inc: inc, base: base, macros: map[string]*Macro{}}
+	pp.Reset()
+	return pp
 }
 
 // Reset clears per-file state — overlay macro definitions, errors, include
@@ -131,11 +155,18 @@ func (pp *Preprocessor) Reset() {
 	clear(pp.macros)
 	pp.errs = nil
 	pp.depth = 0
+	pp.names = 0
+	if pp.base != nil {
+		pp.names = pp.base.names
+	}
 }
 
 // lookup resolves a macro name through the overlay, then the base layer.
 // A tombstoned (#undef) name resolves to nil even when the base defines it.
 func (pp *Preprocessor) lookup(name string) *Macro {
+	if !pp.names.mayHave(name) {
+		return nil
+	}
 	if m, ok := pp.macros[name]; ok {
 		return m
 	}
@@ -147,12 +178,19 @@ func (pp *Preprocessor) lookup(name string) *Macro {
 
 // Define installs an object-like macro (e.g. predefining NULL).
 func (pp *Preprocessor) Define(name, body string) {
-	pp.macros[name] = &Macro{Name: name, Body: body}
+	pp.setMacro(&Macro{Name: name, Body: body})
 }
 
 // DefineFunc installs a function-like macro.
 func (pp *Preprocessor) DefineFunc(name string, params []string, body string) {
-	pp.macros[name] = &Macro{Name: name, Params: params, IsFunc: true, Body: body}
+	pp.setMacro(&Macro{Name: name, Params: params, IsFunc: true, Body: body})
+}
+
+// setMacro installs m in the overlay; every definition goes through here
+// so the name filter sees it.
+func (pp *Preprocessor) setMacro(m *Macro) {
+	pp.macros[m.Name] = m
+	pp.names.add(m.Name)
 }
 
 // IsDefined reports whether the named macro is currently defined.
@@ -211,32 +249,18 @@ func appendLineMarker(b []byte, line int, file string) []byte {
 
 // Process preprocesses src (logical name file) and returns the expanded text
 // with line markers. The expansion builds in the Preprocessor's reusable
-// buffer; the returned string is the single copy made per file.
+// buffer, grown up front to the source's size plus slack so a fresh
+// Preprocessor does not regrow it line by line; the returned string is
+// the single copy made per file.
 func (pp *Preprocessor) Process(file, src string) string {
-	pp.buf = pp.buf[:0]
+	pp.buf = slices.Grow(pp.buf[:0], len(src)+len(src)/4+256)
 	pp.buf = appendLineMarker(pp.buf, 1, file)
 	pp.processInto(file, src)
 	return string(pp.buf)
 }
 
-// getLines checks a logical-line scratch slice out of the pool (one is in
-// use per active include level, so recursion cannot clobber a caller's).
-func (pp *Preprocessor) getLines() []logicalLine {
-	if n := len(pp.linePool); n > 0 {
-		s := pp.linePool[n-1]
-		pp.linePool = pp.linePool[:n-1]
-		return s[:0]
-	}
-	return nil
-}
-
-func (pp *Preprocessor) putLines(s []logicalLine) {
-	pp.linePool = append(pp.linePool, s)
-}
-
 func (pp *Preprocessor) processInto(file, src string) {
-	lines := splitLogicalLinesInto(pp.getLines(), src)
-	defer pp.putLines(lines)
+	lines := lineCursor{src: src, line: 1}
 	var conds []condState
 
 	live := func() bool {
@@ -252,18 +276,27 @@ func (pp *Preprocessor) processInto(file, src string) {
 		pp.busy = map[string]bool{}
 	}
 
-	for _, ll := range lines {
-		text := ll.text
-		lineNo := ll.line
+	for {
+		text, lineNo, extra, ok := lines.next()
+		if !ok {
+			break
+		}
 		trimmed := strings.TrimSpace(text)
 		if strings.HasPrefix(trimmed, "#") {
 			dir, rest := splitDirective(trimmed)
 			switch dir {
 			case "ifdef", "ifndef":
+				// A missing name is an error, not a test of the empty name;
+				// the conditional is still pushed, inactive, so #else and
+				// #endif still pair with it.
 				name := strings.TrimSpace(rest)
-				val := pp.IsDefined(name)
-				if dir == "ifndef" {
-					val = !val
+				val := false
+				if name == "" {
+					if live() {
+						pp.errorf(file, lineNo, "#%s without macro name", dir)
+					}
+				} else {
+					val = pp.IsDefined(name) == (dir == "ifdef")
 				}
 				conds = append(conds, condState{active: val && live(), everActive: val, parentLive: live(), startLine: lineNo})
 			case "if":
@@ -333,13 +366,13 @@ func (pp *Preprocessor) processInto(file, src string) {
 				}
 			}
 			// Keep line numbering aligned (including joined continuations).
-			for i := 0; i <= ll.extra; i++ {
+			for i := 0; i <= extra; i++ {
 				pp.buf = append(pp.buf, '\n')
 			}
 			continue
 		}
 		if !live() {
-			for i := 0; i <= ll.extra; i++ {
+			for i := 0; i <= extra; i++ {
 				pp.buf = append(pp.buf, '\n')
 			}
 			continue
@@ -348,7 +381,7 @@ func (pp *Preprocessor) processInto(file, src string) {
 		pp.buf = append(pp.buf, '\n')
 		// Logical lines that consumed continuations must re-pad so that
 		// subsequent lines keep their original numbers.
-		for i := 0; i < ll.extra; i++ {
+		for i := 0; i < extra; i++ {
 			pp.buf = append(pp.buf, '\n')
 		}
 	}
@@ -357,55 +390,45 @@ func (pp *Preprocessor) processInto(file, src string) {
 	}
 }
 
-// logicalLine is a source line after backslash-continuation joining.
-type logicalLine struct {
-	text  string
-	line  int // original 1-based starting line
-	extra int // how many physical lines were joined beyond the first
+// lineCursor yields src's logical lines one at a time: physical lines
+// with backslash continuations joined, so no per-file slice of lines is
+// built. A line's text is a substring of src except when a continuation
+// forces a join.
+type lineCursor struct {
+	src  string
+	pos  int // offset of the next physical line; past len(src) once done
+	line int // 1-based number of the physical line at pos
 }
 
-// splitLogicalLinesInto splits src into logical lines, appending into dst
-// (reusing its capacity). Line text is zero-copy except when backslash
-// continuations force a join.
-func splitLogicalLinesInto(dst []logicalLine, src string) []logicalLine {
-	dst = dst[:0]
-	lineNo := 1
-	start := 0
-	for {
-		rel := strings.IndexByte(src[start:], '\n')
-		isLast := rel < 0
-		end := len(src)
-		if !isLast {
-			end = start + rel
-		}
-		text := src[start:end]
-		startLine := lineNo
-		extra := 0
-		for strings.HasSuffix(text, "\\") && !isLast {
-			nstart := end + 1
-			nrel := strings.IndexByte(src[nstart:], '\n')
-			isLast = nrel < 0
-			nend := len(src)
-			if !isLast {
-				nend = nstart + nrel
-			}
-			text = text[:len(text)-1] + " " + src[nstart:nend]
-			end = nend
-			extra++
-			lineNo++
-		}
-		dst = append(dst, logicalLine{text: text, line: startLine, extra: extra})
-		if isLast {
-			break
-		}
-		start = end + 1
-		lineNo++
+// next returns the next logical line's text, its original 1-based starting
+// line, and how many physical lines it joined beyond the first. ok is false
+// once src is exhausted. An empty src is one empty line, and a trailing
+// newline does not start a phantom empty line after it.
+func (c *lineCursor) next() (text string, line, extra int, ok bool) {
+	if c.pos > len(c.src) || (c.pos == len(c.src) && c.pos > 0) {
+		return "", 0, 0, false
 	}
-	// Drop the phantom line after a trailing newline.
-	if n := len(dst); n > 0 && dst[n-1].text == "" && strings.HasSuffix(src, "\n") {
-		dst = dst[:n-1]
+	line = c.line
+	end := c.lineEnd(c.pos)
+	text = c.src[c.pos:end]
+	for strings.HasSuffix(text, "\\") && end < len(c.src) {
+		nend := c.lineEnd(end + 1)
+		text = text[:len(text)-1] + " " + c.src[end+1:nend]
+		end = nend
+		extra++
 	}
-	return dst
+	c.pos = end + 1
+	c.line += extra + 1
+	return text, line, extra, true
+}
+
+// lineEnd returns the offset of the first newline at or after i, or
+// len(src) when there is none.
+func (c *lineCursor) lineEnd(i int) int {
+	if n := strings.IndexByte(c.src[i:], '\n'); n >= 0 {
+		return i + n
+	}
+	return len(c.src)
 }
 
 func splitDirective(trimmed string) (dir, rest string) {
@@ -450,10 +473,10 @@ func (pp *Preprocessor) define(file string, line int, rest string) {
 			}
 			params = append(params, p)
 		}
-		pp.macros[name] = &Macro{Name: name, Params: params, IsFunc: true, Body: body, Variadic: variadic}
+		pp.setMacro(&Macro{Name: name, Params: params, IsFunc: true, Body: body, Variadic: variadic})
 		return
 	}
-	pp.macros[name] = &Macro{Name: name, Body: strings.TrimSpace(rest[i:])}
+	pp.setMacro(&Macro{Name: name, Body: strings.TrimSpace(rest[i:])})
 }
 
 func (pp *Preprocessor) include(file string, line int, rest string) {

@@ -2,6 +2,7 @@ package cpp
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,46 @@ func TestIfErrors(t *testing.T) {
 		pp := New(nil)
 		if _, err := pp.evalCond(bad); err == nil {
 			t.Errorf("evalCond(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// A directive with no name is reported at its line rather than testing the
+// empty name, and still pushes an (inactive) conditional, so its #else and
+// #endif pair exactly as before.
+func TestBareIfdef(t *testing.T) {
+	for _, dir := range []string{"ifdef", "ifndef"} {
+		src := "int before;\n#" + dir + "  \nint in;\n#else\nint out;\n#endif\nint after;\n"
+		pp := New(nil)
+		out := pp.Process("t.c", src)
+		var errs []string
+		for _, e := range pp.Errors() {
+			errs = append(errs, e.Error())
+		}
+		if want := []string{"t.c:2: #" + dir + " without macro name"}; !slices.Equal(errs, want) {
+			t.Errorf("#%s: errors = %q, want %q", dir, errs, want)
+		}
+		if strings.Contains(out, "int in;") {
+			t.Errorf("#%s: bare conditional's branch emitted:\n%s", dir, out)
+		}
+		for _, keep := range []string{"int before;", "int out;", "int after;"} {
+			if !strings.Contains(out, keep) {
+				t.Errorf("#%s: %q missing:\n%s", dir, keep, out)
+			}
+		}
+		// Line numbering is unchanged by the directive.
+		if lines := strings.Split(out, "\n"); lines[7] != "int after;" {
+			t.Errorf("#%s: line padding broken: %q", dir, lines)
+		}
+
+		// Inside an inactive branch a bare directive only nests.
+		pp = New(nil)
+		out = pp.Process("t.c", "#ifdef NOPE\n#"+dir+"\nint in;\n#endif\nint mid;\n#endif\nint after;\n")
+		if len(pp.Errors()) != 0 {
+			t.Errorf("#%s in an inactive branch: errors %v", dir, pp.Errors())
+		}
+		if strings.Contains(out, "int in;") || strings.Contains(out, "int mid;") || !strings.Contains(out, "int after;") {
+			t.Errorf("#%s in an inactive branch: pairing changed:\n%s", dir, out)
 		}
 	}
 }
@@ -407,3 +448,91 @@ var errIO = &stubErr{}
 type stubErr struct{}
 
 func (*stubErr) Error() string { return "disk on fire" }
+
+// logicalLine is one logical line as the reference splitter reports it.
+type logicalLine struct {
+	text  string
+	line  int // original 1-based starting line
+	extra int // how many physical lines were joined beyond the first
+}
+
+// splitLogicalLinesInto is the slice-building splitter the preprocessor
+// used before lineCursor streamed lines; it is kept as the reference the
+// cursor must match line for line.
+func splitLogicalLinesInto(dst []logicalLine, src string) []logicalLine {
+	dst = dst[:0]
+	lineNo := 1
+	start := 0
+	for {
+		rel := strings.IndexByte(src[start:], '\n')
+		isLast := rel < 0
+		end := len(src)
+		if !isLast {
+			end = start + rel
+		}
+		text := src[start:end]
+		startLine := lineNo
+		extra := 0
+		for strings.HasSuffix(text, "\\") && !isLast {
+			nstart := end + 1
+			nrel := strings.IndexByte(src[nstart:], '\n')
+			isLast = nrel < 0
+			nend := len(src)
+			if !isLast {
+				nend = nstart + nrel
+			}
+			text = text[:len(text)-1] + " " + src[nstart:nend]
+			end = nend
+			extra++
+			lineNo++
+		}
+		dst = append(dst, logicalLine{text: text, line: startLine, extra: extra})
+		if isLast {
+			break
+		}
+		start = end + 1
+		lineNo++
+	}
+	// Drop the phantom line after a trailing newline.
+	if n := len(dst); n > 0 && dst[n-1].text == "" && strings.HasSuffix(src, "\n") {
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// cursorLines drains a lineCursor over src.
+func cursorLines(src string) []logicalLine {
+	var out []logicalLine
+	c := lineCursor{src: src, line: 1}
+	for {
+		text, line, extra, ok := c.next()
+		if !ok {
+			return out
+		}
+		out = append(out, logicalLine{text: text, line: line, extra: extra})
+	}
+}
+
+func TestLineCursorMatchesReference(t *testing.T) {
+	for name, src := range map[string]string{
+		"empty":                 "",
+		"only-newline":          "\n",
+		"no-trailing-newline":   "int a;\nint b;",
+		"trailing-newline":      "int a;\nint b;\n",
+		"blank-last-line":       "int a;\n\n",
+		"blank-lines-only":      "\n\n\n",
+		"continuation-at-eof":   "int a;\n#define X 1 \\",
+		"continuation-eof-nl":   "int a;\n#define X 1 \\\n",
+		"continuation-3-lines":  "#define X 1 + \\\n 2 + \\\n 3\nint v = X;\n",
+		"lone-backslash":        "\\",
+		"crlf":                  "int a;\r\nint b;\r\n",
+		"crlf-continuation":     "#define X 1 \\\r\n 2\r\nint v;\r\n",
+		"backslash-then-blank":  "a \\\n\nb\n",
+		"continuation-to-blank": "a \\\n",
+	} {
+		want := splitLogicalLinesInto(nil, src)
+		if got := cursorLines(src); !slices.Equal(got, want) {
+			t.Errorf("%s: cursor %q, reference %q", name, got, want)
+		}
+	}
+}
