@@ -477,7 +477,7 @@ func runStaticVsDynamicConfig(modules, funcsPer, bugsEach int, fracs []int) {
 	staticFound := 0
 	for _, b := range p.Bugs {
 		for _, d := range res.Diags {
-			if d.Pos.File == b.File {
+			if d.Pos.File.String() == b.File {
 				staticFound++
 				break
 			}
@@ -1219,7 +1219,7 @@ func runValidateIters(iters int) {
 	doc.SeededTotal = len(p.Bugs)
 	for _, b := range p.Bugs {
 		for _, d := range res.Diags {
-			if d.Pos.File == b.File && d.Pos.Line == b.Line &&
+			if d.Pos.File.String() == b.File && int(d.Pos.Line) == b.Line &&
 				d.Validation != nil && d.Validation.Tag == diag.Confirmed {
 				doc.SeededConfirmed++
 				break

@@ -13,11 +13,11 @@ import (
 func testEntry() *Entry {
 	return &Entry{
 		Diags: []*diag.Diagnostic{
-			{Code: diag.Leak, Pos: ctoken.Pos{File: "m.c", Line: 9, Col: 2, Off: 88},
+			{Code: diag.Leak, Pos: ctoken.Pos{File: ctoken.FileOf("m.c"), Line: 9, Col: 2, Off: 88},
 				Msg: "Only storage p not released",
-				Notes: []diag.Note{{Pos: ctoken.Pos{File: "m.c", Line: 4, Col: 6, Off: 30},
+				Notes: []diag.Note{{Pos: ctoken.Pos{File: ctoken.FileOf("m.c"), Line: 4, Col: 6, Off: 30},
 					Msg: "Storage p allocated"}}},
-			{Code: diag.NullDeref, Pos: ctoken.Pos{File: "m.c", Line: 12}, Msg: "Dereference of possibly null p"},
+			{Code: diag.NullDeref, Pos: ctoken.Pos{File: ctoken.FileOf("m.c"), Line: 12}, Msg: "Dereference of possibly null p"},
 		},
 		Suppressed:  3,
 		ParseErrors: []string{"m.c:2: stray token"},

@@ -29,7 +29,7 @@ func (u *Unit) Pos() ctoken.Pos {
 	if len(u.Decls) > 0 {
 		return u.Decls[0].Pos()
 	}
-	return ctoken.Pos{File: u.File, Line: 1, Col: 1}
+	return ctoken.Pos{File: ctoken.FileOf(u.File), Line: 1, Col: 1}
 }
 
 // Funcs returns the function definitions in the unit.

@@ -9,7 +9,9 @@ import (
 	"golclint/internal/ctypes"
 )
 
-func pos(line int) ctoken.Pos { return ctoken.Pos{File: "t.c", Line: line, Col: 1} }
+func pos(line int) ctoken.Pos {
+	return ctoken.Pos{File: ctoken.FileOf("t.c"), Line: int32(line), Col: 1}
+}
 
 // buildTree constructs a small function AST by hand:
 //
@@ -184,7 +186,7 @@ func TestOpStrings(t *testing.T) {
 
 func TestUnitFuncsAndPos(t *testing.T) {
 	u := &Unit{File: "u.c"}
-	if u.Pos().File != "u.c" {
+	if u.Pos().File.String() != "u.c" {
 		t.Error("empty unit pos")
 	}
 	f := buildTree()

@@ -442,7 +442,7 @@ func (g *Graph) Unreachable() []*Node {
 // points a diagnostic's witness traverses. Deterministic: BFS visits
 // successors in build order, so equal-length paths resolve to the
 // first-built one.
-func (g *Graph) PathToLine(line int) []*Node {
+func (g *Graph) PathToLine(line int32) []*Node {
 	if g == nil || g.Entry == nil {
 		return nil
 	}

@@ -582,7 +582,7 @@ func traceDiags(m *obs.Metrics, explain bool, ds []*diag.Diagnostic) {
 		return
 	}
 	for _, d := range ds {
-		ev := obs.DiagEvent{Code: d.Code.String(), File: d.Pos.File, Line: d.Pos.Line, Msg: d.Msg}
+		ev := obs.DiagEvent{Code: d.Code.String(), File: d.Pos.File.String(), Line: int(d.Pos.Line), Msg: d.Msg}
 		if d.Prov != nil {
 			ev.Ref = d.Prov.Ref
 			for _, s := range d.Prov.Steps {

@@ -302,14 +302,14 @@ func (c *checker) checkFunctionTimed(f *cast.FuncDef) {
 	c.m.Add(obs.RefStatesCopied, c.fs.copied)
 	c.m.Add(obs.MergeNS, c.fnMergeNS.Nanoseconds())
 	pos := f.Pos()
-	c.m.EndFuncSpan(c.fnSpan, pos.File, pos.Line,
+	c.m.EndFuncSpan(c.fnSpan, pos.File.String(), int(pos.Line),
 		int64(c.fnBlocks), int64(c.fnMerges), c.fs.clones)
 	c.fnSpan = 0
 	if c.traceEv != nil {
 		*c.traceEv = obs.FuncEvent{
 			Func:       f.Name,
-			File:       pos.File,
-			Line:       pos.Line,
+			File:       pos.File.String(),
+			Line:       int(pos.Line),
 			Blocks:     c.fnBlocks,
 			Edges:      c.fnEdges,
 			Merges:     c.fnMerges,
@@ -380,7 +380,7 @@ func (c *checker) checkFunction(f *cast.FuncDef) {
 	if c.prov != nil {
 		c.prov.g = g
 	}
-	var lastDead int
+	var lastDead int32
 	for _, n := range g.Unreachable() {
 		if n.Pos.IsValid() && n.Pos.Line != lastDead+1 {
 			c.report(diag.DeadCode, n.Pos, "Code is not reachable")

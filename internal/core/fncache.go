@@ -99,13 +99,13 @@ func segmentFile(name, src string) (segs []segment, ok bool) {
 			break
 		}
 		if pending {
-			cur = segment{start: t.Pos.Off, open: -1, posFile: t.Pos.File, posLine: t.Pos.Line}
+			cur = segment{start: int(t.Pos.Off), open: -1, posFile: t.Pos.File.String(), posLine: int(t.Pos.Line)}
 			pending = false
 		}
 		switch t.Kind {
 		case ctoken.LBrace:
 			if depth == 0 {
-				cur.open = t.Pos.Off
+				cur.open = int(t.Pos.Off)
 			}
 			depth++
 		case ctoken.RBrace:
@@ -114,13 +114,13 @@ func segmentFile(name, src string) (segs []segment, ok bool) {
 				return nil, false
 			}
 			if depth == 0 {
-				cur.end = t.Pos.Off + 1
+				cur.end = int(t.Pos.Off) + 1
 				segs = append(segs, cur)
 				pending = true
 			}
 		case ctoken.Semi:
 			if depth == 0 {
-				cur.end = t.Pos.Off + 1
+				cur.end = int(t.Pos.Off) + 1
 				segs = append(segs, cur)
 				pending = true
 			}
@@ -180,7 +180,7 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 			if f.Body == nil {
 				return nil
 			}
-			si, ok := byOpen[f.Body.Pos().Off]
+			si, ok := byOpen[int(f.Body.Pos().Off)]
 			if !ok || matched[si] {
 				return nil
 			}

@@ -38,7 +38,7 @@ func checkFlags(t *testing.T, src string, fl *flags.Flags) *Result {
 func requireDiag(t *testing.T, res *Result, code diag.Code, line int, want string) {
 	t.Helper()
 	for _, d := range res.Diags {
-		if d.Code == code && strings.Contains(d.Msg, want) && (line <= 0 || d.Pos.Line == line) {
+		if d.Code == code && strings.Contains(d.Msg, want) && (line <= 0 || int(d.Pos.Line) == line) {
 			return
 		}
 	}

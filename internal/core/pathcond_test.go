@@ -13,18 +13,18 @@ import (
 
 func TestPathCondsParsesStableSpellings(t *testing.T) {
 	p := &diag.Provenance{Steps: []diag.ProvStep{
-		{Kind: "entry", Msg: "in function f", Pos: ctoken.Pos{File: "a.c", Line: 1}},
-		{Kind: "branch", Msg: "condition p == NULL assumed false", Pos: ctoken.Pos{File: "a.c", Line: 3}},
-		{Kind: "branch", Msg: "condition n > 10 assumed true", Pos: ctoken.Pos{File: "a.c", Line: 5}},
-		{Kind: "branch", Msg: "loop condition i < n assumed true (body analyzed as one execution)", Pos: ctoken.Pos{File: "a.c", Line: 7}},
-		{Kind: "branch", Msg: "loop body entered (analyzed as one execution)", Pos: ctoken.Pos{File: "a.c", Line: 9}},
-		{Kind: "alloc", Msg: "p acquires a release obligation here", Pos: ctoken.Pos{File: "a.c", Line: 4}},
+		{Kind: "entry", Msg: "in function f", Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 1}},
+		{Kind: "branch", Msg: "condition p == NULL assumed false", Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}},
+		{Kind: "branch", Msg: "condition n > 10 assumed true", Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 5}},
+		{Kind: "branch", Msg: "loop condition i < n assumed true (body analyzed as one execution)", Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 7}},
+		{Kind: "branch", Msg: "loop body entered (analyzed as one execution)", Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 9}},
+		{Kind: "alloc", Msg: "p acquires a release obligation here", Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 4}},
 	}}
 	got := PathConds(p)
 	want := []PathCond{
-		{Pos: ctoken.Pos{File: "a.c", Line: 3}, Cond: "p == NULL", Assumed: false},
-		{Pos: ctoken.Pos{File: "a.c", Line: 5}, Cond: "n > 10", Assumed: true},
-		{Pos: ctoken.Pos{File: "a.c", Line: 7}, Cond: "i < n", Assumed: true, Loop: true},
+		{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Cond: "p == NULL", Assumed: false},
+		{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 5}, Cond: "n > 10", Assumed: true},
+		{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 7}, Cond: "i < n", Assumed: true, Loop: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("PathConds = %+v, want %d conds", got, len(want))

@@ -17,7 +17,7 @@ import (
 // DefState is the definition state of a reference, ordered from weakest to
 // strongest; merges take the weakest (§5: "Definition states are combined
 // using the weakest assumption").
-type DefState int
+type DefState uint8
 
 // Definition states.
 const (
@@ -34,7 +34,7 @@ var defNames = [...]string{
 
 // String returns the paper's name for the state.
 func (d DefState) String() string {
-	if d < 0 || int(d) >= len(defNames) {
+	if int(d) >= len(defNames) {
 		return ""
 	}
 	return defNames[d]
@@ -49,7 +49,7 @@ func MergeDef(a, b DefState) DefState {
 }
 
 // NullState is the null state of a reference.
-type NullState int
+type NullState uint8
 
 // Null states.
 const (
@@ -67,7 +67,7 @@ var nullNames = [...]string{
 
 // String returns a readable name for the state.
 func (n NullState) String() string {
-	if n < 0 || int(n) >= len(nullNames) {
+	if int(n) >= len(nullNames) {
 		return ""
 	}
 	return nullNames[n]
@@ -93,7 +93,7 @@ func MergeNull(a, b NullState) NullState {
 
 // AllocState is the allocation state of a reference (§5: "corresponding to
 // the allocation annotation").
-type AllocState int
+type AllocState uint8
 
 // Allocation states.
 const (
@@ -119,7 +119,7 @@ var allocNames = [...]string{
 
 // String returns the paper's name for the state.
 func (a AllocState) String() string {
-	if a < 0 || int(a) >= len(allocNames) {
+	if int(a) >= len(allocNames) {
 		return ""
 	}
 	return allocNames[a]

@@ -105,49 +105,44 @@ type nodeArena struct {
 // Their constructors fill the zeroed slot field by field instead, so each
 // pointer store takes the plain write barrier.
 
-// setPos copies a position into a node field by field.
-func setPos(dst *ctoken.Pos, src ctoken.Pos) {
-	dst.File, dst.Line, dst.Col, dst.Off = src.File, src.Line, src.Col, src.Off
-}
-
 func (a *nodeArena) newIdent(pos ctoken.Pos, name string) *cast.Ident {
 	n := a.ident.slot()
-	setPos(&n.P, pos)
+	n.P = pos
 	n.Name = name
 	return n
 }
 
 func (a *nodeArena) newIntLit(pos ctoken.Pos, text string, v int64) *cast.IntLit {
 	n := a.intLit.slot()
-	setPos(&n.P, pos)
+	n.P = pos
 	n.Text, n.Value = text, v
 	return n
 }
 
 func (a *nodeArena) newBinary(pos ctoken.Pos, op cast.BinaryOp, x, y cast.Expr) *cast.Binary {
 	n := a.binary.slot()
-	setPos(&n.P, pos)
+	n.P = pos
 	n.Op, n.X, n.Y = op, x, y
 	return n
 }
 
 func (a *nodeArena) newUnary(pos ctoken.Pos, op cast.UnaryOp, x cast.Expr) *cast.Unary {
 	n := a.unary.slot()
-	setPos(&n.P, pos)
+	n.P = pos
 	n.Op, n.X = op, x
 	return n
 }
 
 func (a *nodeArena) newAssign(pos ctoken.Pos, op cast.AssignOp, lhs, rhs cast.Expr) *cast.Assign {
 	n := a.assign.slot()
-	setPos(&n.P, pos)
+	n.P = pos
 	n.Op, n.LHS, n.RHS = op, lhs, rhs
 	return n
 }
 
 func (a *nodeArena) newExprStmt(x cast.Expr) *cast.ExprStmt {
 	n := a.exprStmt.slot()
-	setPos(&n.P, x.Pos())
+	n.P = x.Pos()
 	n.X = x
 	return n
 }

@@ -2,6 +2,7 @@ package ctoken
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,7 +31,7 @@ func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // is installed), Peek buffers by value, and no token allocates on its own.
 type Lexer struct {
 	src       string
-	file      string // current logical file (updated by line markers)
+	file      FileID // current logical file (updated by line markers)
 	off       int
 	line      int
 	col       int
@@ -40,9 +41,37 @@ type Lexer struct {
 	in        InternTable // optional; canonicalizes identifier/keyword atoms
 }
 
-// NewLexer returns a lexer over src, reporting positions against file.
+// MaxSourceLen is the longest source a Lexer accepts: every offset, line
+// and column of a Pos must fit in an int32.
+const MaxSourceLen = math.MaxInt32
+
+// checkSourceLen rejects a source of n bytes if it is longer than
+// MaxSourceLen.
+func checkSourceLen(n int) error {
+	if n > MaxSourceLen {
+		return fmt.Errorf("preprocessed source is %d bytes, longer than the %d-byte limit", n, MaxSourceLen)
+	}
+	return nil
+}
+
+// NewLexer returns a lexer over src, reporting positions against file. A
+// src longer than MaxSourceLen is not scanned: the lexer reports the
+// bound as its one error and yields only EOF.
 func NewLexer(file, src string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+	lx := &Lexer{src: src, line: 1, col: 1}
+	lx.start(file)
+	return lx
+}
+
+// start interns file and refuses a src longer than MaxSourceLen. It is
+// split from NewLexer so that NewLexer stays inlinable: a caller's Lexer
+// then lives on its stack instead of being allocated per file.
+func (lx *Lexer) start(file string) {
+	lx.file = FileOf(file)
+	if err := checkSourceLen(len(lx.src)); err != nil {
+		lx.src = ""
+		lx.errs = append(lx.errs, &LexError{Pos: lx.pos(), Msg: err.Error()})
+	}
 }
 
 // SetInterner installs an identifier intern table: identifier and keyword
@@ -57,7 +86,9 @@ func (lx *Lexer) errorf(p Pos, format string, args ...interface{}) {
 	lx.errs = append(lx.errs, &LexError{Pos: p, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (lx *Lexer) pos() Pos { return Pos{File: lx.file, Line: lx.line, Col: lx.col, Off: lx.off} }
+func (lx *Lexer) pos() Pos {
+	return Pos{File: lx.file, Line: int32(lx.line), Col: int32(lx.col), Off: int32(lx.off)}
+}
 
 func (lx *Lexer) cur() byte {
 	if lx.off >= len(lx.src) {
@@ -175,7 +206,7 @@ func (lx *Lexer) lineMarker() {
 		}
 		lx.line = ln
 		lx.col = 1
-		lx.file = f
+		lx.file = FileOf(f)
 		return
 	}
 	lx.errorf(p, "unexpected preprocessor directive %q (input not preprocessed?)", strings.TrimSpace(text))
@@ -205,6 +236,9 @@ func parseLineMarker(text string) (line int, file string, ok bool) {
 	n := 0
 	for i < len(text) && isDigit(text[i]) {
 		n = n*10 + int(text[i]-'0')
+		if n > math.MaxInt32 {
+			return 0, "", false // no Pos can hold the line
+		}
 		i++
 	}
 	if i == d {
@@ -296,9 +330,7 @@ func (lx *Lexer) AllInto(buf []Token) []Token {
 func (lx *Lexer) scan(t *Token) {
 	for {
 		lx.skipBlanks()
-		// Field-by-field stores: a whole-struct copy into a heap slot
-		// takes the bulk write-barrier path while the GC is marking.
-		t.Pos.File, t.Pos.Line, t.Pos.Col, t.Pos.Off = lx.file, lx.line, lx.col, lx.off
+		t.Pos = lx.pos()
 		c := lx.cur()
 		switch {
 		case c == 0:

@@ -146,10 +146,10 @@ func TestPositions(t *testing.T) {
 func TestLineMarker(t *testing.T) {
 	src := "# 10 \"orig.c\"\nint x;\n# 3 \"other.h\"\nchar c;\n"
 	ts := lexAll(t, src)
-	if ts[0].Pos.File != "orig.c" || ts[0].Pos.Line != 10 {
+	if ts[0].Pos.File.String() != "orig.c" || ts[0].Pos.Line != 10 {
 		t.Errorf("int at %v, want orig.c:10", ts[0].Pos)
 	}
-	if ts[3].Pos.File != "other.h" || ts[3].Pos.Line != 3 {
+	if ts[3].Pos.File.String() != "other.h" || ts[3].Pos.Line != 3 {
 		t.Errorf("char at %v, want other.h:3", ts[3].Pos)
 	}
 }
@@ -181,9 +181,9 @@ func TestPeek(t *testing.T) {
 }
 
 func TestPosBefore(t *testing.T) {
-	a := Pos{File: "a.c", Line: 1, Col: 1}
-	b := Pos{File: "a.c", Line: 1, Col: 5}
-	c := Pos{File: "a.c", Line: 2, Col: 1}
+	a := Pos{File: FileOf("a.c"), Line: 1, Col: 1}
+	b := Pos{File: FileOf("a.c"), Line: 1, Col: 5}
+	c := Pos{File: FileOf("a.c"), Line: 2, Col: 1}
 	if !a.Before(b) || !b.Before(c) || c.Before(a) {
 		t.Fatal("Before ordering wrong")
 	}

@@ -169,19 +169,21 @@ var Keywords = map[string]Kind{
 	"while": KwWhile,
 }
 
-// Pos is a source position: file name, 1-based line and column, and the
-// 0-based byte offset into the (preprocessed) source.
+// Pos is a source position: file, 1-based line and column, and the
+// 0-based byte offset into the (preprocessed) source. It is 16 bytes and
+// holds no pointer; the file name lives in the FileID table. Lexers refuse
+// sources longer than MaxSourceLen, so an offset always fits in an int32.
 type Pos struct {
-	File string
-	Line int
-	Col  int
-	Off  int
+	File FileID
+	Line int32
+	Col  int32
+	Off  int32
 }
 
 // String formats the position as file:line (the style used in the paper's
 // messages, e.g. "sample.c:5").
 func (p Pos) String() string {
-	if p.File == "" {
+	if p.File == 0 {
 		return fmt.Sprintf("line %d", p.Line)
 	}
 	return fmt.Sprintf("%s:%d", p.File, p.Line)
@@ -190,10 +192,12 @@ func (p Pos) String() string {
 // IsValid reports whether the position carries real location information.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Before reports whether p occurs strictly before q in the same file.
+// Before reports whether p occurs strictly before q. Positions in
+// different files order by file name, never by FileID: IDs follow the
+// order in which files were first seen, which varies with scheduling.
 func (p Pos) Before(q Pos) bool {
 	if p.File != q.File {
-		return p.File < q.File
+		return p.File.String() < q.File.String()
 	}
 	if p.Line != q.Line {
 		return p.Line < q.Line

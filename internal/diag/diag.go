@@ -329,10 +329,16 @@ var classOf = map[string][]Code{
 // offSpan is a region of one file where a message class is disabled by a
 // local /*@-name@*/ ... /*@+name@*/ toggle.
 type offSpan struct {
-	file     string
-	fromLine int
-	toLine   int
+	file     ctoken.FileID
+	fromLine int32
+	toLine   int32
 	codes    []Code
+}
+
+// flagKey names one local flag toggle in one file.
+type flagKey struct {
+	file ctoken.FileID
+	name string
 }
 
 // Reporter accumulates diagnostics and applies suppression.
@@ -370,16 +376,16 @@ type Control struct {
 // locally").
 func (r *Reporter) AddSuppressions(controls []Control) {
 	var open []Region
-	openFlags := map[string]*offSpan{} // keyed file+"|"+name
+	openFlags := map[flagKey]*offSpan{}
 	for _, c := range controls {
 		switch {
 		case c.Text == "i":
 			r.iLines[fmt.Sprintf("%s:%d", c.Pos.File, c.Pos.Line)] = true
 		case c.Text == "ignore":
-			open = append(open, Region{File: c.Pos.File, FromLine: c.Pos.Line, ToLine: 1 << 30})
+			open = append(open, Region{File: c.Pos.File.String(), FromLine: int(c.Pos.Line), ToLine: 1 << 30})
 		case c.Text == "end":
 			if len(open) > 0 {
-				open[len(open)-1].ToLine = c.Pos.Line
+				open[len(open)-1].ToLine = int(c.Pos.Line)
 				r.regions = append(r.regions, open[len(open)-1])
 				open = open[:len(open)-1]
 			}
@@ -387,13 +393,13 @@ func (r *Reporter) AddSuppressions(controls []Control) {
 			name := c.Text[1:]
 			if codes, ok := classOf[name]; ok {
 				sp := &offSpan{file: c.Pos.File, fromLine: c.Pos.Line, toLine: 1 << 30, codes: codes}
-				openFlags[c.Pos.File+"\x00"+name] = sp
+				openFlags[flagKey{c.Pos.File, name}] = sp
 				r.offSpans = append(r.offSpans, *sp)
 			}
 		case len(c.Text) > 1 && c.Text[0] == '+':
 			name := c.Text[1:]
 			if _, ok := classOf[name]; ok {
-				key := c.Pos.File + "\x00" + name
+				key := flagKey{c.Pos.File, name}
 				if sp, isOpen := openFlags[key]; isOpen {
 					// Close the most recent span for this flag/file.
 					for i := len(r.offSpans) - 1; i >= 0; i-- {
@@ -438,12 +444,12 @@ func (r *Reporter) classOff(code Code, pos ctoken.Pos) bool {
 // consumes one-shot /*@i@*/ markers.
 func (r *Reporter) isSuppressed(pos ctoken.Pos) bool {
 	for _, reg := range r.regions {
-		if reg.File == pos.File && pos.Line >= reg.FromLine && pos.Line <= reg.ToLine {
+		if reg.File == pos.File.String() && int(pos.Line) >= reg.FromLine && int(pos.Line) <= reg.ToLine {
 			return true
 		}
 	}
 	// /*@i@*/ on the same line or the line before the anomaly.
-	for _, ln := range []int{pos.Line, pos.Line - 1} {
+	for _, ln := range []int32{pos.Line, pos.Line - 1} {
 		key := fmt.Sprintf("%s:%d", pos.File, ln)
 		if r.iLines[key] {
 			delete(r.iLines, key)

@@ -7,7 +7,9 @@ import (
 	"golclint/internal/ctoken"
 )
 
-func pos(file string, line int) ctoken.Pos { return ctoken.Pos{File: file, Line: line, Col: 1} }
+func pos(file string, line int) ctoken.Pos {
+	return ctoken.Pos{File: ctoken.FileOf(file), Line: int32(line), Col: 1}
+}
 
 func TestReportAndFormat(t *testing.T) {
 	r := NewReporter(0)
@@ -29,6 +31,23 @@ func TestSortOrder(t *testing.T) {
 	ds := r.Diags()
 	if ds[0].Msg != "first-file" || ds[1].Msg != "first-line" || ds[2].Msg != "second" {
 		t.Fatalf("order: %v %v %v", ds[0].Msg, ds[1].Msg, ds[2].Msg)
+	}
+}
+
+// File IDs follow first-seen order, which varies with -jobs; Sort must
+// order by file name whatever order the names were interned in.
+func TestSortOrdersFilesByName(t *testing.T) {
+	late, early := pos("sort_b.c", 1), pos("sort_a.c", 7)
+	if early.File < late.File {
+		t.Fatalf("sort_a.c interned first (ID %d < %d); the test needs the reverse", early.File, late.File)
+	}
+	ds := []*Diagnostic{
+		{Code: Leak, Pos: late, Msg: "b"},
+		{Code: Leak, Pos: early, Msg: "a"},
+	}
+	Sort(ds)
+	if ds[0].Msg != "a" || ds[1].Msg != "b" {
+		t.Fatalf("Sort put %s before %s", ds[0].Pos, ds[1].Pos)
 	}
 }
 

@@ -24,10 +24,18 @@ type wirePos struct {
 }
 
 func toWirePos(p ctoken.Pos) wirePos {
-	return wirePos{File: p.File, Line: p.Line, Col: p.Col, Off: p.Off}
+	return wirePos{File: p.File.String(), Line: int(p.Line), Col: int(p.Col), Off: int(p.Off)}
 }
-func fromWirePos(p wirePos) ctoken.Pos {
-	return ctoken.Pos{File: p.File, Line: p.Line, Col: p.Col, Off: p.Off}
+
+// fromWirePos converts a decoded position. A field outside the int32
+// range of ctoken.Pos was not written by Marshal, so it is an error, not a
+// wrapped value.
+func fromWirePos(p wirePos) (ctoken.Pos, error) {
+	pos := ctoken.Pos{File: ctoken.FileOf(p.File), Line: int32(p.Line), Col: int32(p.Col), Off: int32(p.Off)}
+	if int(pos.Line) != p.Line || int(pos.Col) != p.Col || int(pos.Off) != p.Off {
+		return ctoken.Pos{}, fmt.Errorf("unmarshal diagnostics: position %s:%d:%d+%d out of range", p.File, p.Line, p.Col, p.Off)
+	}
+	return pos, nil
 }
 
 // wireNote is the serialized Note.
@@ -105,14 +113,24 @@ func Unmarshal(b []byte) ([]*Diagnostic, error) {
 	}
 	ds := make([]*Diagnostic, 0, len(wire))
 	for _, w := range wire {
-		d := &Diagnostic{Code: w.Code, Pos: fromWirePos(w.Pos), Msg: w.Msg}
+		pos, err := fromWirePos(w.Pos)
+		if err != nil {
+			return nil, err
+		}
+		d := &Diagnostic{Code: w.Code, Pos: pos, Msg: w.Msg}
 		for _, n := range w.Notes {
-			d.Notes = append(d.Notes, Note{Pos: fromWirePos(n.Pos), Msg: n.Msg})
+			if pos, err = fromWirePos(n.Pos); err != nil {
+				return nil, err
+			}
+			d.Notes = append(d.Notes, Note{Pos: pos, Msg: n.Msg})
 		}
 		if w.Prov != nil {
 			p := &Provenance{Ref: w.Prov.Ref}
 			for _, s := range w.Prov.Steps {
-				p.Steps = append(p.Steps, ProvStep{Pos: fromWirePos(s.Pos), Kind: s.Kind, Msg: s.Msg})
+				if pos, err = fromWirePos(s.Pos); err != nil {
+					return nil, err
+				}
+				p.Steps = append(p.Steps, ProvStep{Pos: pos, Kind: s.Kind, Msg: s.Msg})
 			}
 			d.Prov = p
 		}

@@ -14,17 +14,17 @@ func sampleDiags() []*Diagnostic {
 	for _, c := range Codes() {
 		d := &Diagnostic{
 			Code: c,
-			Pos:  ctoken.Pos{File: "mod1.c", Line: 10 + int(c), Col: 3, Off: 120 + int(c)},
+			Pos:  ctoken.Pos{File: ctoken.FileOf("mod1.c"), Line: 10 + int32(c), Col: 3, Off: 120 + int32(c)},
 			Msg:  "storage p may become " + c.String(),
 		}
 		if int(c)%2 == 0 {
-			d.WithNote(ctoken.Pos{File: "mod1.c", Line: 5, Col: 1, Off: 40}, "Storage p allocated")
-			d.WithNote(ctoken.Pos{File: "mod0.h", Line: 2, Col: 7, Off: 9}, "declared with /*@only@*/")
+			d.WithNote(ctoken.Pos{File: ctoken.FileOf("mod1.c"), Line: 5, Col: 1, Off: 40}, "Storage p allocated")
+			d.WithNote(ctoken.Pos{File: ctoken.FileOf("mod0.h"), Line: 2, Col: 7, Off: 9}, "declared with /*@only@*/")
 		}
 		ds = append(ds, d)
 	}
 	ds = append(ds, &Diagnostic{Code: UnknownName, Pos: ctoken.Pos{Line: 1}, Msg: ""})
-	ds = append(ds, &Diagnostic{Code: TypeError, Pos: ctoken.Pos{File: "ü.c", Line: 7}, Msg: "naïve cast — \"quoted\""})
+	ds = append(ds, &Diagnostic{Code: TypeError, Pos: ctoken.Pos{File: ctoken.FileOf("ü.c"), Line: 7}, Msg: "naïve cast — \"quoted\""})
 	return ds
 }
 
@@ -80,6 +80,12 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"[{\"code\":\"nope\"}]", // unknown code
 		"\x00\x01\x02",          // binary garbage
 		"[{\"code\":17}]",       // wrong code type (number, not name)
+		// Position fields no lexer can produce (past int32).
+		`[{"code":"mustfree","pos":{"file":"a.c","line":2147483648,"col":1,"off":0},"msg":"m"}]`,
+		`[{"code":"mustfree","pos":{"file":"a.c","line":1,"col":1,"off":0},"msg":"m",` +
+			`"notes":[{"pos":{"file":"a.c","line":1,"col":1,"off":-2147483649},"msg":"n"}]}]`,
+		`[{"code":"mustfree","pos":{"file":"a.c","line":1,"col":1,"off":0},"msg":"m",` +
+			`"prov":{"steps":[{"pos":{"file":"a.c","line":1,"col":4294967297,"off":0},"kind":"entry","msg":"f"}]}}]`,
 	}
 	for _, src := range cases {
 		if _, err := Unmarshal([]byte(src)); err == nil {
@@ -90,7 +96,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 
 // Codes serialize by name, not number, so renumbering cannot corrupt caches.
 func TestMarshalUsesCodeNames(t *testing.T) {
-	b, err := Marshal([]*Diagnostic{{Code: Leak, Pos: ctoken.Pos{File: "a.c", Line: 1}, Msg: "m"}})
+	b, err := Marshal([]*Diagnostic{{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 1}, Msg: "m"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +106,15 @@ func TestMarshalUsesCodeNames(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	base := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: "a.c", Line: 3, Col: 2}, Msg: "m",
-		Notes: []Note{{Pos: ctoken.Pos{File: "a.c", Line: 1}, Msg: "n"}}}
-	same := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: "a.c", Line: 3, Col: 2}, Msg: "m",
-		Notes: []Note{{Pos: ctoken.Pos{File: "a.c", Line: 1}, Msg: "n"}}}
+	base := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3, Col: 2}, Msg: "m",
+		Notes: []Note{{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 1}, Msg: "n"}}}
+	same := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3, Col: 2}, Msg: "m",
+		Notes: []Note{{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 1}, Msg: "n"}}}
 	if !Equal(base, same) {
 		t.Error("identical diagnostics compare unequal")
 	}
 	diffNote := &Diagnostic{Code: Leak, Pos: base.Pos, Msg: "m",
-		Notes: []Note{{Pos: ctoken.Pos{File: "a.c", Line: 2}, Msg: "n"}}}
+		Notes: []Note{{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 2}, Msg: "n"}}}
 	if Equal(base, diffNote) {
 		t.Error("note difference not detected")
 	}
@@ -120,11 +126,11 @@ func TestEqual(t *testing.T) {
 // Provenance must round-trip through the wire format and be compared by
 // Equal — a warm -explain run replays cached witnesses verbatim.
 func TestMarshalProvenanceRoundTrip(t *testing.T) {
-	d := &Diagnostic{Code: UseDead, Pos: ctoken.Pos{File: "a.c", Line: 14}, Msg: "used after release",
+	d := &Diagnostic{Code: UseDead, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 14}, Msg: "used after release",
 		Prov: &Provenance{Ref: "p", Steps: []ProvStep{
-			{Pos: ctoken.Pos{File: "a.c", Line: 3}, Kind: "entry", Msg: "checking function f"},
-			{Pos: ctoken.Pos{File: "a.c", Line: 10}, Kind: "alloc", Msg: "fresh storage allocated"},
-			{Pos: ctoken.Pos{File: "a.c", Line: 12}, Kind: "release", Msg: "released by call to free"},
+			{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Kind: "entry", Msg: "checking function f"},
+			{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 10}, Kind: "alloc", Msg: "fresh storage allocated"},
+			{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 12}, Kind: "release", Msg: "released by call to free"},
 		}}}
 	b, err := Marshal([]*Diagnostic{d})
 	if err != nil {
@@ -156,8 +162,8 @@ func TestMarshalProvenanceRoundTrip(t *testing.T) {
 // String must ignore provenance: default output is byte-identical whether
 // or not witnesses were recorded.
 func TestStringIgnoresProvenance(t *testing.T) {
-	plain := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: "a.c", Line: 3}, Msg: "m"}
-	traced := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: "a.c", Line: 3}, Msg: "m",
+	plain := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Msg: "m"}
+	traced := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Msg: "m",
 		Prov: &Provenance{Ref: "p", Steps: []ProvStep{{Kind: "entry", Msg: "f"}}}}
 	if plain.String() != traced.String() {
 		t.Errorf("String differs with provenance attached: %q vs %q", plain.String(), traced.String())

@@ -57,7 +57,7 @@ func TestErcCreateNullAnomaly(t *testing.T) {
 	for _, d := range res.Diags {
 		if d.Code == diag.NullReturn && strings.Contains(d.Msg, "Null storage c->vals derivable from return value: c") {
 			found = true
-			if d.Pos.File != "erc.c" {
+			if d.Pos.File.String() != "erc.c" {
 				t.Errorf("anomaly in %s, want erc.c", d.Pos.File)
 			}
 			if len(d.Notes) != 1 || !strings.Contains(d.Notes[0].Msg, "c->vals becomes null") {
@@ -166,7 +166,7 @@ func TestSixDriverLeaks(t *testing.T) {
 	res := checkStage(t, AllocAnnotated, nil)
 	leaks := 0
 	for _, d := range res.Diags {
-		if d.Code == diag.Leak && d.Pos.File == "drive.c" &&
+		if d.Code == diag.Leak && d.Pos.File.String() == "drive.c" &&
 			strings.Contains(d.Msg, "not released before assignment") {
 			leaks++
 		}

@@ -42,7 +42,7 @@ func TestFinalStageRunsClean(t *testing.T) {
 		t.Fatalf("residual leaks = %v, want exactly the 2 pool arrays", run.Leaks)
 	}
 	for _, lk := range run.Leaks {
-		if lk.AllocPos.File != "eref.c" {
+		if lk.AllocPos.File.String() != "eref.c" {
 			t.Fatalf("unexpected residual leak: %v", lk)
 		}
 	}

@@ -357,7 +357,7 @@ func (in *Interp) errorf(kind ErrorKind, pos ctoken.Pos, format string, args ...
 
 // noteWatch records that execution touched pos, for RunSpec watch lines.
 func (in *Interp) noteWatch(pos ctoken.Pos) {
-	if in.watchLine != 0 && pos.Line == in.watchLine && pos.File == in.watchFile {
+	if in.watchLine != 0 && int(pos.Line) == in.watchLine && pos.File.String() == in.watchFile {
 		in.reachedWatch = true
 	}
 }

@@ -118,7 +118,7 @@ func Build(prog *sema.Program) *Library {
 			ResultAnnots: uint32(sig.ResultAnnots),
 			Variadic:     sig.Variadic, NoReturn: sig.NoReturn,
 			GlobalsUsed: sig.GlobalsUsed,
-			File:        sig.Pos.File, Line: sig.Pos.Line,
+			File:        sig.Pos.File.String(), Line: int(sig.Pos.Line),
 		}
 		for _, p := range sig.Params {
 			fr.Params = append(fr.Params, paramRec{Name: p.Name, Type: b.typeID(p.Type), Annots: uint32(p.Annots)})
@@ -135,7 +135,7 @@ func Build(prog *sema.Program) *Library {
 		b.lib.Globals = append(b.lib.Globals, globalRec{
 			Name: g.Name, Type: b.typeID(g.Type), Annots: uint32(g.Annots),
 			Static: g.Static, HasInit: g.HasInit,
-			File: g.Pos.File, Line: g.Pos.Line,
+			File: g.Pos.File.String(), Line: int(g.Pos.Line),
 		})
 	}
 	for k, v := range prog.Enums {
@@ -194,6 +194,16 @@ func Decode(r io.Reader) (*Library, error) {
 // ---------------------------------------------------------------------------
 // Installation
 
+// recPos is the position of a decoded record. Build never writes a line
+// outside the int32 range of ctoken.Pos; a decoded one that is outside it
+// becomes line 0 (no position) instead of wrapping.
+func recPos(file string, line int) ctoken.Pos {
+	if int(int32(line)) != line {
+		line = 0
+	}
+	return ctoken.Pos{File: ctoken.FileOf(file), Line: int32(line), Col: 1}
+}
+
 // Install merges the library's interface information into a program
 // environment (as if every function had a prototype and every global an
 // extern declaration). Existing entries — e.g. from the module being
@@ -237,7 +247,7 @@ func (l *Library) Install(prog *sema.Program) error {
 			ResultAnnots: annot.Set(fr.ResultAnnots),
 			Variadic:     fr.Variadic, NoReturn: fr.NoReturn,
 			GlobalsUsed: fr.GlobalsUsed,
-			Pos:         ctoken.Pos{File: fr.File, Line: fr.Line, Col: 1},
+			Pos:         recPos(fr.File, fr.Line),
 		}
 		for _, p := range fr.Params {
 			sig.Params = append(sig.Params, ctypes.Param{Name: p.Name, Type: at(p.Type), Annots: annot.Set(p.Annots)})
@@ -251,7 +261,7 @@ func (l *Library) Install(prog *sema.Program) error {
 		prog.Globals[gr.Name] = &sema.Global{
 			Name: gr.Name, Type: at(gr.Type), Annots: annot.Set(gr.Annots),
 			Static: gr.Static, HasInit: gr.HasInit,
-			Pos: ctoken.Pos{File: gr.File, Line: gr.Line, Col: 1},
+			Pos: recPos(gr.File, gr.Line),
 		}
 	}
 	for k, v := range l.Enums {

@@ -139,13 +139,13 @@ func TestModularMatchesWhole(t *testing.T) {
 
 	wholeInMod := map[string]int{}
 	for _, d := range whole.Diags {
-		if d.Pos.File == "mod0.c" {
+		if d.Pos.File.String() == "mod0.c" {
 			wholeInMod[d.Code.String()+"|"+d.Msg]++
 		}
 	}
 	modular := map[string]int{}
 	for _, d := range res.Diags {
-		if d.Pos.File == "mod0.c" {
+		if d.Pos.File.String() == "mod0.c" {
 			modular[d.Code.String()+"|"+d.Msg]++
 		}
 	}
@@ -170,6 +170,23 @@ func TestInstallKeepsDefinitions(t *testing.T) {
 	sig, ok := res.Program.Lookup("f")
 	if !ok || !sig.HasBody {
 		t.Fatal("module definition clobbered by library install")
+	}
+}
+
+// A decoded record's line outside the int32 range of a position installs
+// as line 0, never as a wrapped line.
+func TestInstallOutOfRangeLine(t *testing.T) {
+	lib := &Library{
+		Funcs:   []funcRec{{Name: "far", Result: -1, File: "big.c", Line: 1 << 32}},
+		Globals: []globalRec{{Name: "g", Type: -1, File: "big.c", Line: 1<<31 + 5}},
+	}
+	res := CheckModule(map[string]string{"m.c": "int m;\n"}, lib, core.Options{})
+	sig, ok := res.Program.Lookup("far")
+	if !ok || sig.Pos.Line != 0 || sig.Pos.File.String() != "big.c" {
+		t.Fatalf("installed far at %+v (found %t)", sig.Pos, ok)
+	}
+	if g := res.Program.Globals["g"]; g == nil || g.Pos.Line != 0 {
+		t.Fatalf("installed g = %+v", g)
 	}
 }
 

@@ -1,0 +1,55 @@
+package library
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"testing"
+
+	"golclint/internal/core"
+	"golclint/internal/cpp"
+	"golclint/internal/sema"
+	"golclint/internal/testgen"
+)
+
+// TestSymbolFingerprintsPinned pins the per-symbol fingerprints of a fixed
+// generated program. Declared positions are rendered into them, and they
+// are recorded as function-cache dependencies, so however positions are
+// represented in memory, these strings may not move. One module checked
+// against the others' installed library must see the same fingerprints:
+// library records carry every declared position through.
+func TestSymbolFingerprintsPinned(t *testing.T) {
+	p := testgen.Generate(testgen.Config{Seed: 21, Modules: 3, FuncsPer: 2, Annotate: true,
+		Bugs: map[testgen.BugKind]int{testgen.BugLeak: 1, testgen.BugNullDeref: 1}})
+	whole := analyzeAll(t, p.Files, p.Headers)
+	const want = "cd816815df95e477f2b454d105f806525a36f178f0fcc9a408054b00723e4b85"
+	if got := symbolDigest(whole.Program); got != want {
+		t.Errorf("whole program: sha256 of SymbolFingerprints = %s, want %s", got, want)
+	}
+	mod := core.CheckSources(map[string]string{"mod0.c": p.Files["mod0.c"]}, core.Options{
+		Includes: cpp.MapIncluder(p.Headers),
+		PreCheck: Build(whole.Program).Install,
+	})
+	if got := symbolDigest(mod.Program); got != want {
+		t.Errorf("mod0.c with the library installed: sha256 of SymbolFingerprints = %s, want %s", got, want)
+	}
+}
+
+// symbolDigest hashes the fingerprint of every function and global of
+// prog, in name order.
+func symbolDigest(prog *sema.Program) string {
+	fp := SymbolFingerprints(prog)
+	var names []string
+	for n := range prog.Funcs {
+		names = append(names, n)
+	}
+	for n := range prog.Globals {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, n := range names {
+		fmt.Fprintf(h, "%s=%s\n", n, fp(n))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // builtinPos marks standard-library declarations in messages.
-var builtinPos = ctoken.Pos{File: "<standard library>", Line: 1, Col: 1}
+var builtinPos = ctoken.Pos{File: ctoken.FileOf("<standard library>"), Line: 1, Col: 1}
 
 // sizeT is the size_t type used by the builtin declarations.
 var sizeT = ctypes.NamedOf("size_t", ctypes.ULongType, 0)

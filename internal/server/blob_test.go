@@ -27,7 +27,7 @@ func newBlobTest(t *testing.T) (*BlobServer, *httptest.Server) {
 func blobEntry() *cache.Entry {
 	return &cache.Entry{
 		Diags: []*diag.Diagnostic{
-			{Code: diag.Leak, Pos: ctoken.Pos{File: "m.c", Line: 9}, Msg: "Only storage p not released"},
+			{Code: diag.Leak, Pos: ctoken.Pos{File: ctoken.FileOf("m.c"), Line: 9}, Msg: "Only storage p not released"},
 		},
 		Suppressed: 1,
 		Deps:       map[string]string{"helper": "fp1"},

@@ -48,7 +48,7 @@ func runRecall(t *testing.T, p *Program) {
 
 	matched := make([]bool, len(p.Bugs))
 	matches := func(b SeededBug, d *diag.Diagnostic) bool {
-		if d.Pos.File != b.File || d.Pos.Line != b.Line {
+		if d.Pos.File.String() != b.File || int(d.Pos.Line) != b.Line {
 			return false
 		}
 		for _, c := range expectedCodes(b.Kind) {
@@ -146,7 +146,7 @@ func TestSeededBugConfirmedPrecision(t *testing.T) {
 			}
 			seededSite := func(d *diag.Diagnostic) bool {
 				for _, b := range p.Bugs {
-					if d.Pos.File == b.File && d.Pos.Line == b.Line {
+					if d.Pos.File.String() == b.File && int(d.Pos.Line) == b.Line {
 						return true
 					}
 				}

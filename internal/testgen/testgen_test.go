@@ -135,7 +135,7 @@ func detectedBugs(res *core.Result, p *Program) map[int]bool {
 	for _, d := range res.Diags {
 		for i, b := range p.Bugs {
 			s := spans[i]
-			if d.Pos.File == s.file && d.Pos.Line >= s.from && d.Pos.Line <= s.to && match(b.Kind, d.Code) {
+			if d.Pos.File.String() == s.file && int(d.Pos.Line) >= s.from && int(d.Pos.Line) <= s.to && match(b.Kind, d.Code) {
 				found[i] = true
 			}
 		}

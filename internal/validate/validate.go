@@ -153,7 +153,7 @@ func validateOne(in *interp.Interp, prog *sema.Program, d *diag.Diagnostic, opt 
 				Entry: fn, Args: args,
 				MaxSteps:    opt.MaxStepsPerRun,
 				FailAllocAt: failAt,
-				WatchFile:   d.Pos.File, WatchLine: d.Pos.Line,
+				WatchFile:   d.Pos.File.String(), WatchLine: int(d.Pos.Line),
 			})
 			if res.ReachedWatch {
 				reached = true
@@ -252,7 +252,7 @@ func reproduces(d *diag.Diagnostic, res *interp.Result) bool {
 // a block allocated at the witness's alloc step, or failing a recorded
 // alloc step, any block allocated in the diagnosed file.
 func leakMatches(d *diag.Diagnostic, res *interp.Result) bool {
-	allocLines := map[int]bool{}
+	allocLines := map[int32]bool{}
 	if d.Prov != nil {
 		for _, s := range d.Prov.Steps {
 			if s.Kind == "alloc" && s.Pos.File == d.Pos.File {
