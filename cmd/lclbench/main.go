@@ -1,40 +1,43 @@
 // Command lclbench regenerates every table and figure reproduction from
-// the paper's evaluation (experiments E1-E21 in DESIGN.md and
-// EXPERIMENTS.md). Each subcommand prints one experiment; "all" runs the
-// full set.
+// the paper's evaluation and the extensions built on it (experiments E1-E23
+// in DESIGN.md and EXPERIMENTS.md; E12 and E16 have no subcommand: package
+// tests cover them, and E23 times E16's cold and warm passes). Each
+// subcommand prints one experiment; "all" runs the full set.
 //
-// The perf experiments also emit machine-readable companions alongside the
-// prose tables — BENCH_scaling.json (E9), BENCH_modular.json (E10),
-// BENCH_parallel.json (E15), BENCH_incremental.json (E16),
-// BENCH_state.json (E17), BENCH_frontend.json (E18),
-// BENCH_provenance.json (E19), BENCH_validate.json (E20),
-// BENCH_serve.json (E21), BENCH_distributed.json (E22), and
-// BENCH_editloop.json (E23) in the current
-// directory — each stamped with the
-// experiment's elapsed time and allocation totals (measured per benchmark
-// row, so alloc figures are attributable) so the numbers are diffable
-// across changes.
+// The perf experiments also write a machine-readable companion,
+// BENCH_<name>.json, to the current directory: scaling (E9), modular
+// (E10), parallel (E15), state (E17), frontend (E18), provenance (E19),
+// validate (E20), serve (E21), distributed (E22) and editloop (E23). Each
+// is stamped with the host (CPU count, GOMAXPROCS, commit), the
+// experiment's elapsed time and allocation totals, and the spread (min,
+// median and MAD over the reps) of every figure timed over repeated runs.
+// lclbench then evaluates the gate table (gates.go) on each document it
+// writes and exits 1 if any gate fails.
 //
 // Usage:
 //
-//	lclbench [-jobs n] [-quick] [samples|listaddh|ercdb|scaling|modular|economy|staticvsdynamic|nofixpoint|parallel|incremental|state|frontend|provenance|validate|serve|distributed|editloop|all]
+//	lclbench [-jobs n] [-quick] [samples|listaddh|ercdb|scaling|modular|economy|staticvsdynamic|nofixpoint|parallel|state|frontend|provenance|validate|serve|distributed|editloop|all]
 //
 //	-jobs n   highest worker count the parallel experiment sweeps to
 //	          (0 = GOMAXPROCS)
-//	-quick    run only the BENCH-emitting experiments on small
-//	          corpora (the CI smoke mode)
+//	-quick    run on small corpora; with "all", only the BENCH-emitting
+//	          experiments (the CI smoke mode)
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -67,6 +70,11 @@ type benchMeta struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Commit is the build's vcs.revision; binaries built by `go run` carry
+	// none, so it is empty there.
+	Commit string `json:"commit"`
 	// ElapsedNS is the experiment's end-to-end wall-clock time.
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// AllocBytes is the total heap allocated during the experiment
@@ -76,80 +84,129 @@ type benchMeta struct {
 	// of the experiment (runtime.MemStats.HeapSys), an upper bound on the
 	// peak live heap.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
+	// Spread is the timing behind each figure measured over repeated runs,
+	// keyed by the document field it backs.
+	Spread map[string]timing `json:"spread,omitempty"`
 }
 
-// measure runs f, returning meta filled with elapsed time and allocation
-// deltas for the given schema/experiment identifiers.
-func measure(schema, experiment string, f func()) benchMeta {
+func (m *benchMeta) meta() *benchMeta { return m }
+
+// record files t as the spread behind field and returns it.
+func (m *benchMeta) record(field string, t timing) timing {
+	if m.Spread == nil {
+		m.Spread = map[string]timing{}
+	}
+	m.Spread[field] = t
+	return t
+}
+
+// benchDoc is a BENCH document: a struct embedding benchMeta.
+type benchDoc interface{ meta() *benchMeta }
+
+// timing is the spread of one function's wall time over Reps timed runs,
+// with its mean allocation per run.
+type timing struct {
+	Reps        int     `json:"reps"`
+	MinNS       int64   `json:"min_ns"`
+	MedianNS    int64   `json:"median_ns"`
+	MADNS       int64   `json:"mad_ns"`
+	AllocsPerOp uint64  `json:"allocs_per_op"`
+	BytesPerOp  uint64  `json:"bytes_per_op"`
+	ns          []int64 // per-run wall times, sorted
+}
+
+// percentile returns the p-th percentile of the per-run wall times.
+func (t timing) percentile(p int) int64 { return t.ns[min(len(t.ns)*p/100, len(t.ns)-1)] }
+
+func (t timing) medianMS() float64 { return float64(t.MedianNS) / 1e6 }
+
+// spreadReps is the run count behind figures no gate reads: enough for a
+// median and a MAD without stretching the full runs.
+const spreadReps = 3
+
+// timeReps runs each of fs warmups times untimed (0 to time a cold path
+// from its first run), then reps times timed, and returns each one's
+// timing. Several functions are compared: their runs are interleaved so
+// machine drift hits each alike, and the heap is collected before each run
+// so a collection owed to one function's garbage cannot land inside
+// another's. A lone function's runs go back to back, as a server sees
+// repeated requests, with the allocation counters read only around the
+// whole series (reading them stops the world and empties every P's span
+// cache, which would slow the next run).
+func timeReps(warmups, reps int, fs ...func()) []timing {
+	for range warmups {
+		for _, f := range fs {
+			f()
+		}
+	}
+	settle := len(fs) > 1
+	out := make([]timing, len(fs))
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	f()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return benchMeta{
-		Schema:        schema,
-		Experiment:    experiment,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		ElapsedNS:     elapsed.Nanoseconds(),
-		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
-		PeakHeapBytes: after.HeapSys,
+	for i := 0; i < reps; i++ {
+		for j, f := range fs {
+			if settle {
+				runtime.GC()
+			}
+			if settle || i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			start := time.Now()
+			f()
+			out[j].ns = append(out[j].ns, time.Since(start).Nanoseconds())
+			if settle || i == reps-1 {
+				runtime.ReadMemStats(&after)
+				out[j].AllocsPerOp += after.Mallocs - before.Mallocs
+				out[j].BytesPerOp += after.TotalAlloc - before.TotalAlloc
+			}
+		}
 	}
+	for j := range out {
+		t := &out[j]
+		sort.Slice(t.ns, func(a, b int) bool { return t.ns[a] < t.ns[b] })
+		t.Reps, t.MinNS, t.MedianNS = reps, t.ns[0], t.percentile(50)
+		t.AllocsPerOp /= uint64(reps)
+		t.BytesPerOp /= uint64(reps)
+		dev := make([]int64, reps)
+		for i, ns := range t.ns {
+			dev[i] = max(ns-t.MedianNS, t.MedianNS-ns)
+		}
+		sort.Slice(dev, func(a, b int) bool { return dev[a] < dev[b] })
+		t.MADNS = dev[reps/2]
+	}
+	return out
 }
 
-// measureRow runs one benchmark row, returning its wall-clock time and the
-// heap allocated during the call. Each row takes its own before/after
-// MemStats readings so alloc totals are attributable per row rather than
-// smeared across a whole experiment.
-func measureRow(f func()) (time.Duration, uint64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	f()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return elapsed, after.TotalAlloc - before.TotalAlloc
-}
-
-// writeBenchJSON writes v to outDir/name, reporting the path so runs are
-// self-describing.
-func writeBenchJSON(name string, v interface{}) {
-	path := filepath.Join(outDir, name)
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
-	}
-	if err := atomicio.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-var experiments = []struct {
+// experiment is one lclbench subcommand. id names the experiment in its
+// BENCH document and gate rows; prose-only experiments have none and
+// return a nil document.
+type experiment struct {
 	name string
-	run  func()
-}{
-	{"samples", runSamples},
-	{"listaddh", runListAddh},
-	{"ercdb", runErcDB},
-	{"scaling", runScaling},
-	{"modular", runModular},
-	{"economy", runEconomy},
-	{"staticvsdynamic", runStaticVsDynamic},
-	{"nofixpoint", runNoFixpoint},
-	{"parallel", runParallel},
-	{"incremental", runIncremental},
-	{"state", runState},
-	{"frontend", runFrontend},
-	{"provenance", runProvenance},
-	{"validate", runValidate},
-	{"serve", runServe},
-	{"distributed", runDistributed},
-	{"editloop", runEditloop},
+	id   string
+	run  func(quick bool) (benchDoc, error)
+}
+
+var experiments = []experiment{
+	{"samples", "", prose(runSamples)},
+	{"listaddh", "", prose(runListAddh)},
+	{"ercdb", "", prose(runErcDB)},
+	{"scaling", "E9", runScaling},
+	{"modular", "E10", runModular},
+	{"economy", "", prose(runEconomy)},
+	{"staticvsdynamic", "", runStaticVsDynamic},
+	{"nofixpoint", "", prose(runNoFixpoint)},
+	{"parallel", "E15", runParallel},
+	{"state", "E17", runState},
+	{"frontend", "E18", runFrontend},
+	{"provenance", "E19", runProvenance},
+	{"validate", "E20", runValidate},
+	{"serve", "E21", runServe},
+	{"distributed", "E22", runDistributed},
+	{"editloop", "E23", runEditloop},
+}
+
+// prose adapts an experiment that only prints a table.
+func prose(f func()) func(bool) (benchDoc, error) {
+	return func(bool) (benchDoc, error) { f(); return nil, nil }
 }
 
 // maxJobs is the highest worker count the parallel experiment sweeps to
@@ -159,41 +216,86 @@ var maxJobs = 0
 func main() {
 	fs := flag.NewFlagSet("lclbench", flag.ExitOnError)
 	jobs := fs.Int("jobs", 0, "highest worker count for the parallel experiment (0 = GOMAXPROCS)")
-	quick := fs.Bool("quick", false, "run the BENCH-emitting experiments on small corpora (CI smoke)")
+	quick := fs.Bool("quick", false, "run on small corpora; with \"all\", only the BENCH-emitting experiments (CI smoke)")
 	_ = fs.Parse(os.Args[1:])
 	maxJobs = *jobs
-	if *quick {
-		runScalingSizes([]int{2, 4})
-		runModularModules(8)
-		runParallelConfig(8, 6, maxJobs)
-		runIncrementalModules(8)
-		runStateIters(3)
-		runFrontendIters(3)
-		runProvenanceIters(10)
-		runValidateIters(3)
-		runServeConfig(8, 6, 20, 4)
-		runDistributedConfig(true)
-		runEditloopConfig(true)
-		return
-	}
 	cmd := "all"
 	if fs.NArg() > 0 {
 		cmd = fs.Arg(0)
 	}
-	if cmd == "all" {
-		for _, e := range experiments {
-			e.run()
-		}
-		return
-	}
+	ran, failed := false, false
 	for _, e := range experiments {
-		if e.name == cmd {
-			e.run()
-			return
+		if cmd != e.name && (cmd != "all" || *quick && e.id == "") {
+			continue
+		}
+		ran = true
+		doc, err := runExperiment(e, *quick)
+		if err == nil && doc != nil {
+			if err = errors.Join(violations(doc, true)...); err == nil {
+				fmt.Printf("gates %s: ok\n", e.id)
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lclbench: %s: %v\n", e.name, err)
+			failed = true
 		}
 	}
-	fmt.Fprintf(os.Stderr, "lclbench: unknown experiment %q\n", cmd)
-	os.Exit(2)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "lclbench: unknown experiment %q\n", cmd)
+		os.Exit(2)
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// runExperiment runs e and, if it produced a document, stamps it, writes
+// it to outDir/BENCH_<name>.json and returns it decoded, as the gates read
+// it.
+func runExperiment(e experiment, quick bool) (map[string]any, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	doc, err := e.run(quick)
+	if err != nil || doc == nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	m := doc.meta()
+	m.Schema, m.Experiment = "golclint-bench-"+e.name+"/v1", e.id
+	m.GoVersion, m.GOOS, m.GOARCH = runtime.Version(), runtime.GOOS, runtime.GOARCH
+	m.NumCPU, m.GOMAXPROCS, m.Commit = runtime.NumCPU(), runtime.GOMAXPROCS(0), vcsRevision()
+	m.ElapsedNS = elapsed.Nanoseconds()
+	m.AllocBytes = after.TotalAlloc - before.TotalAlloc
+	m.PeakHeapBytes = after.HeapSys
+
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	path := filepath.Join(outDir, "BENCH_"+e.name+".json")
+	if err := atomicio.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return nil, err
+	}
+	fmt.Printf("wrote %s\n", path)
+	var decoded map[string]any
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		return nil, err
+	}
+	return decoded, nil
+}
+
+// vcsRevision returns the commit the binary was built from, if stamped.
+func vcsRevision() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				return s.Value
+			}
+		}
+	}
+	return ""
 }
 
 func header(id, title string) {
@@ -319,8 +421,7 @@ type scalingRow struct {
 	CheckMS   float64 `json:"check_ms"`
 	MSPerKLOC float64 `json:"ms_per_kloc"`
 	Messages  int     `json:"messages"`
-	// AllocBytes is the heap allocated checking this row alone (per-row
-	// MemStats delta).
+	// AllocBytes is the heap allocated by one check of this row.
 	AllocBytes uint64           `json:"alloc_bytes"`
 	PhasesNS   map[string]int64 `json:"phases_ns"`
 	Counters   map[string]int64 `json:"counters"`
@@ -331,39 +432,38 @@ type scalingDoc struct {
 	Rows []scalingRow `json:"rows"`
 }
 
-func runScaling() { runScalingSizes([]int{2, 8, 32, 64, 128}) }
-
-// runScalingSizes is runScaling over a configurable module-count set (tests
-// use a small one).
-func runScalingSizes(sizes []int) {
+func runScaling(quick bool) (benchDoc, error) {
+	sizes := []int{2, 8, 32, 64, 128}
+	if quick {
+		sizes = []int{2, 4}
+	}
 	header("E9 (Section 7)", "checking time vs program size")
 	fmt.Printf("%10s %8s %12s %12s %10s\n", "lines", "modules", "check(ms)", "ms/kloc", "messages")
-	var rows []scalingRow
-	meta := measure("golclint-bench-scaling/v1", "E9", func() {
-		for _, modules := range sizes {
-			p := testgen.Generate(testgen.Config{
-				Seed: 42, Modules: modules, FuncsPer: 10, Annotate: true,
-				Bugs: map[testgen.BugKind]int{testgen.BugLeak: modules / 2},
-			})
-			m := obs.New()
-			var res *core.Result
-			elapsed, alloc := measureRow(func() {
-				res = core.CheckSources(p.Files, core.Options{Includes: cpp.MapIncluder(p.Headers), Metrics: m})
-			})
-			ms := float64(elapsed.Microseconds()) / 1000
-			fmt.Printf("%10d %8d %12.1f %12.2f %10d\n",
-				p.Lines, modules, ms, ms/(float64(p.Lines)/1000), len(res.Diags))
-			snap := m.Snapshot()
-			rows = append(rows, scalingRow{
-				Lines: p.Lines, Modules: modules, CheckMS: ms,
-				MSPerKLOC: ms / (float64(p.Lines) / 1000), Messages: len(res.Diags),
-				AllocBytes: alloc,
-				PhasesNS:   snap.PhasesNS, Counters: snap.Counters,
-			})
-		}
-	})
+	doc := &scalingDoc{}
+	for i, modules := range sizes {
+		p := testgen.Generate(testgen.Config{
+			Seed: 42, Modules: modules, FuncsPer: 10, Annotate: true,
+			Bugs: map[testgen.BugKind]int{testgen.BugLeak: modules / 2},
+		})
+		var m *obs.Metrics
+		var res *core.Result
+		t := doc.record(fmt.Sprintf("rows[%d].check_ms", i), timeReps(1, spreadReps, func() {
+			m = obs.New()
+			res = core.CheckSources(p.Files, core.Options{Includes: cpp.MapIncluder(p.Headers), Metrics: m})
+		})[0])
+		ms := t.medianMS()
+		fmt.Printf("%10d %8d %12.1f %12.2f %10d\n",
+			p.Lines, modules, ms, ms/(float64(p.Lines)/1000), len(res.Diags))
+		snap := m.Snapshot()
+		doc.Rows = append(doc.Rows, scalingRow{
+			Lines: p.Lines, Modules: modules, CheckMS: ms,
+			MSPerKLOC: ms / (float64(p.Lines) / 1000), Messages: len(res.Diags),
+			AllocBytes: t.BytesPerOp,
+			PhasesNS:   snap.PhasesNS, Counters: snap.Counters,
+		})
+	}
 	fmt.Println("paper shape: time grows ~linearly; ms/kloc stays ~flat")
-	writeBenchJSON("BENCH_scaling.json", scalingDoc{benchMeta: meta, Rows: rows})
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -375,8 +475,8 @@ type modularDoc struct {
 	benchMeta
 	WholeLines int   `json:"whole_lines"`
 	WholeNS    int64 `json:"whole_ns"`
-	// WholeAllocBytes / ModuleAllocBytes are per-measurement MemStats
-	// deltas, so each figure is attributable to its own check.
+	// WholeAllocBytes / ModuleAllocBytes are the heap allocated by one
+	// check each.
 	WholeAllocBytes  uint64           `json:"whole_alloc_bytes"`
 	ModuleLines      int              `json:"module_lines"`
 	ModuleNS         int64            `json:"module_ns"`
@@ -387,49 +487,41 @@ type modularDoc struct {
 	ModuleCounters   map[string]int64 `json:"module_counters"`
 }
 
-func runModular() { runModularModules(64) }
-
-// runModularModules is runModular with a configurable corpus size (tests
-// use a small one).
-func runModularModules(modules int) {
+func runModular(quick bool) (benchDoc, error) {
+	modules := 64
+	if quick {
+		modules = 8
+	}
 	header("E10 (Section 7)", "whole-program vs modular re-check")
-	var doc modularDoc
-	meta := measure("golclint-bench-modular/v1", "E10", func() {
-		p := testgen.Generate(testgen.Config{
-			Seed: 43, Modules: modules, FuncsPer: 10, Annotate: true,
-		})
-		var whole *core.Result
-		wholeTime, wholeAlloc := measureRow(func() {
-			whole = core.CheckSources(p.Files, core.Options{Includes: cpp.MapIncluder(p.Headers)})
-		})
-
-		lib := library.Build(whole.Program)
-		mod := map[string]string{"mod0.c": p.Files["mod0.c"]}
-		m := obs.New()
-		modTime, modAlloc := measureRow(func() {
-			library.CheckModule(mod, lib, core.Options{Includes: cpp.MapIncluder(p.Headers), Metrics: m})
-		})
-
-		fmt.Printf("whole program (%d lines): %v\n", p.Lines, wholeTime)
-		fmt.Printf("one module with library (%d lines): %v\n",
-			strings.Count(p.Files["mod0.c"], "\n"), modTime)
-		fmt.Printf("speedup: %.1fx (library: %s)\n",
-			float64(wholeTime)/float64(modTime), lib.Stats())
-		snap := m.Snapshot()
-		doc = modularDoc{
-			WholeLines: p.Lines, WholeNS: wholeTime.Nanoseconds(),
-			WholeAllocBytes:  wholeAlloc,
-			ModuleLines:      strings.Count(p.Files["mod0.c"], "\n"),
-			ModuleNS:         modTime.Nanoseconds(),
-			ModuleAllocBytes: modAlloc,
-			Speedup:          float64(wholeTime) / float64(modTime),
-			LibraryEntries:   lib.EntryCount(),
-			ModulePhasesNS:   snap.PhasesNS, ModuleCounters: snap.Counters,
-		}
+	p := testgen.Generate(testgen.Config{
+		Seed: 43, Modules: modules, FuncsPer: 10, Annotate: true,
 	})
+	doc := &modularDoc{}
+	var whole *core.Result
+	wt := doc.record("whole_ns", timeReps(1, spreadReps, func() {
+		whole = core.CheckSources(p.Files, core.Options{Includes: cpp.MapIncluder(p.Headers)})
+	})[0])
+
+	lib := library.Build(whole.Program)
+	mod := map[string]string{"mod0.c": p.Files["mod0.c"]}
+	var m *obs.Metrics
+	mt := doc.record("module_ns", timeReps(1, spreadReps, func() {
+		m = obs.New()
+		library.CheckModule(mod, lib, core.Options{Includes: cpp.MapIncluder(p.Headers), Metrics: m})
+	})[0])
+
+	doc.WholeLines, doc.WholeNS, doc.WholeAllocBytes = p.Lines, wt.MedianNS, wt.BytesPerOp
+	doc.ModuleLines = strings.Count(p.Files["mod0.c"], "\n")
+	doc.ModuleNS, doc.ModuleAllocBytes = mt.MedianNS, mt.BytesPerOp
+	doc.Speedup = float64(wt.MedianNS) / float64(mt.MedianNS)
+	doc.LibraryEntries = lib.EntryCount()
+	snap := m.Snapshot()
+	doc.ModulePhasesNS, doc.ModuleCounters = snap.PhasesNS, snap.Counters
+	fmt.Printf("whole program (%d lines): %v\n", p.Lines, time.Duration(wt.MedianNS))
+	fmt.Printf("one module with library (%d lines): %v\n", doc.ModuleLines, time.Duration(mt.MedianNS))
+	fmt.Printf("speedup: %.1fx (library: %s)\n", doc.Speedup, lib.Stats())
 	fmt.Println("paper shape: module re-check is an order of magnitude faster")
-	doc.benchMeta = meta
-	writeBenchJSON("BENCH_modular.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -456,13 +548,14 @@ func runEconomy() {
 // ---------------------------------------------------------------------------
 // E13: static vs run-time detection under partial test coverage.
 
-func runStaticVsDynamic() { runStaticVsDynamicConfig(6, 4, 4, []int{0, 25, 50, 100}) }
-
-// runStaticVsDynamicConfig is runStaticVsDynamic with a configurable corpus
-// and coverage sweep. The interpreter baseline is minutes-scale at the full
-// configuration on small machines, so the package test exercises a reduced
-// one (the committed full run records the headline table).
-func runStaticVsDynamicConfig(modules, funcsPer, bugsEach int, fracs []int) {
+// runStaticVsDynamic's interpreter baseline is minutes-scale at the full
+// configuration on small machines, so quick runs a reduced one (the
+// committed full run records the headline table).
+func runStaticVsDynamic(quick bool) (benchDoc, error) {
+	modules, funcsPer, bugsEach, fracs := 6, 4, 4, []int{0, 25, 50, 100}
+	if quick {
+		modules, funcsPer, bugsEach, fracs = 2, 2, 1, []int{0, 100}
+	}
 	header("E13 (Section 1/7)", "seeded-bug recall: static checker vs run-time baseline")
 	bugMix := map[testgen.BugKind]int{
 		testgen.BugLeak: bugsEach, testgen.BugCondLeak: bugsEach, testgen.BugUseAfterFree: bugsEach,
@@ -506,6 +599,7 @@ func runStaticVsDynamicConfig(modules, funcsPer, bugsEach int, fracs []int) {
 		fmt.Printf("run-time, %3d%% coverage       %5d/%d\n", frac, dynFound, total)
 	}
 	fmt.Println("paper shape: run-time detection is bounded by test coverage; static is not")
+	return nil, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -537,11 +631,7 @@ func runNoFixpoint() {
 		return b.String()
 	}
 	timeCheck := func(src string) time.Duration {
-		start := time.Now()
-		for i := 0; i < 50; i++ {
-			core.CheckSource("f.c", src, core.Options{})
-		}
-		return time.Since(start) / 50
+		return time.Duration(timeReps(1, 50, func() { core.CheckSource("f.c", src, core.Options{}) })[0].MedianNS)
 	}
 	for _, depth := range []int{4, 16, 64} {
 		nested := timeCheck(mkNested(depth))
@@ -584,14 +674,16 @@ type parallelDoc struct {
 	Rows      []parallelRow `json:"rows"`
 }
 
-func runParallel() { runParallelConfig(128, 10, maxJobs) }
-
-// runParallelConfig is runParallel over a configurable corpus (modules ×
-// funcsPer, matching E9's largest configuration by default) and worker
-// ceiling (0 = GOMAXPROCS). Worker counts sweep powers of two up to the
-// ceiling, always including the ceiling itself.
-func runParallelConfig(modules, funcsPer, ceiling int) {
+// runParallel checks E9's largest configuration (quick: a small one) at
+// worker counts sweeping powers of two up to the -jobs ceiling (0 =
+// GOMAXPROCS), always including the ceiling itself.
+func runParallel(quick bool) (benchDoc, error) {
+	modules, funcsPer := 128, 10
+	if quick {
+		modules, funcsPer = 8, 6
+	}
 	header("E15 (Section 7)", "parallel per-function checking: wall-clock vs workers")
+	ceiling := maxJobs
 	if ceiling <= 0 {
 		ceiling = runtime.GOMAXPROCS(0)
 		// Always sweep at least to 4 workers so the jobs=4 row exists for
@@ -615,160 +707,34 @@ func runParallelConfig(modules, funcsPer, ceiling int) {
 	fmt.Printf("%6s %10s %14s %14s %9s %9s %10s\n",
 		"jobs", "wall(ms)", "check.wall(ms)", "check.cpu(ms)", "speedup", "chk.spd", "messages")
 
-	var rows []parallelRow
-	var funcs int64
-	var doc parallelDoc
-	meta := measure("golclint-bench-parallel/v1", "E15", func() {
-		var baseWall, baseCheckWall float64
-		for _, jobs := range sweep {
-			m := obs.New()
-			var res *core.Result
-			elapsed, alloc := measureRow(func() {
-				res = core.CheckSources(p.Files, core.Options{
-					Includes: cpp.MapIncluder(p.Headers), Metrics: m, Jobs: jobs,
-				})
+	doc := &parallelDoc{Lines: p.Lines, Modules: modules, MaxJobs: ceiling}
+	for i, jobs := range sweep {
+		var m *obs.Metrics
+		var res *core.Result
+		t := doc.record(fmt.Sprintf("rows[%d].wall_ms", i), timeReps(1, spreadReps, func() {
+			m = obs.New()
+			res = core.CheckSources(p.Files, core.Options{
+				Includes: cpp.MapIncluder(p.Headers), Metrics: m, Jobs: jobs,
 			})
-			snap := m.Snapshot()
-			wallMS := float64(elapsed.Microseconds()) / 1000
-			checkWallMS := float64(snap.CheckWallNS) / 1e6
-			checkCPUMS := float64(snap.PhasesNS["cfg"]+snap.PhasesNS["check"]) / 1e6
-			if jobs == 1 {
-				baseWall, baseCheckWall = wallMS, checkWallMS
-			}
-			row := parallelRow{
-				Jobs: jobs, WallMS: wallMS, CheckWallMS: checkWallMS,
-				CheckCPUMS: checkCPUMS,
-				Speedup:    baseWall / wallMS, CheckSpeedup: baseCheckWall / checkWallMS,
-				AllocBytes: alloc, Messages: len(res.Diags),
-			}
-			funcs = snap.Counters["functions_checked"]
-			fmt.Printf("%6d %10.1f %14.1f %14.1f %8.2fx %8.2fx %10d\n",
-				jobs, wallMS, checkWallMS, checkCPUMS, row.Speedup, row.CheckSpeedup, row.Messages)
-			rows = append(rows, row)
+		})[0])
+		snap := m.Snapshot()
+		row := parallelRow{
+			Jobs: jobs, WallMS: t.medianMS(), CheckWallMS: float64(snap.CheckWallNS) / 1e6,
+			CheckCPUMS: float64(snap.PhasesNS["cfg"]+snap.PhasesNS["check"]) / 1e6,
+			AllocBytes: t.BytesPerOp, Messages: len(res.Diags),
 		}
-	})
+		base := row
+		if i > 0 {
+			base = doc.Rows[0]
+		}
+		row.Speedup, row.CheckSpeedup = base.WallMS/row.WallMS, base.CheckWallMS/row.CheckWallMS
+		doc.Functions = snap.Counters["functions_checked"]
+		fmt.Printf("%6d %10.1f %14.1f %14.1f %8.2fx %8.2fx %10d\n",
+			jobs, row.WallMS, row.CheckWallMS, row.CheckCPUMS, row.Speedup, row.CheckSpeedup, row.Messages)
+		doc.Rows = append(doc.Rows, row)
+	}
 	fmt.Println("paper shape: per-function independence turns modularity into wall-clock speedup")
-	doc = parallelDoc{
-		benchMeta: meta, Lines: p.Lines, Modules: modules,
-		Functions: funcs, MaxJobs: ceiling, Rows: rows,
-	}
-	writeBenchJSON("BENCH_parallel.json", doc)
-}
-
-// ---------------------------------------------------------------------------
-// E16: incremental re-checking with the persistent analysis cache. An
-// unchanged module replays its stored diagnostics without re-analysis, so a
-// warm run costs only preprocessing + hashing; editing one module re-checks
-// that module alone. This is the development-loop complement to E10's
-// interface libraries.
-
-// incrementalRow is one pass (cold / warm / dirty) in
-// BENCH_incremental.json.
-type incrementalRow struct {
-	Pass        string  `json:"pass"`
-	WallMS      float64 `json:"wall_ms"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	CacheBytes  int64   `json:"cache_bytes"`
-	Messages    int     `json:"messages"`
-	AllocBytes  uint64  `json:"alloc_bytes"`
-}
-
-type incrementalDoc struct {
-	benchMeta
-	Modules int `json:"modules"`
-	Lines   int `json:"lines"`
-	// Jobs is fixed at 1 so pass-to-pass wall-time ratios measure the
-	// cache alone, not scheduler noise; cached output is byte-identical at
-	// every worker count (see internal/goldentest).
-	Jobs int              `json:"jobs"`
-	Rows []incrementalRow `json:"rows"`
-	// SpeedupWarm / SpeedupDirty are cold wall time over the warm and
-	// one-module-dirty passes.
-	SpeedupWarm  float64 `json:"speedup_warm"`
-	SpeedupDirty float64 `json:"speedup_dirty"`
-}
-
-func runIncremental() { runIncrementalModules(50) }
-
-// runIncrementalModules is runIncremental over a configurable corpus size
-// (the -quick smoke uses a small one).
-func runIncrementalModules(modules int) {
-	header("E16", "incremental re-checking with the persistent analysis cache")
-	cacheDir, err := os.MkdirTemp("", "golclint-bench-cache-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
-	}
-	defer os.RemoveAll(cacheDir)
-	c, err := cache.Open(cacheDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
-	}
-
-	p := testgen.Generate(testgen.Config{
-		Seed: 46, Modules: modules, FuncsPer: 10, Annotate: true,
-		Bugs: map[testgen.BugKind]int{testgen.BugLeak: modules / 2},
-	})
-	// Interface facts come from the annotated headers, as in a real
-	// incremental build: the library is built once and shared.
-	hdr := core.CheckSources(p.Headers, core.Options{})
-	lib := library.Build(hdr.Program)
-	mods := map[string]map[string]string{}
-	for name, src := range p.Files {
-		mods[name] = map[string]string{name: src}
-	}
-
-	fmt.Printf("corpus: %d lines, %d modules\n", p.Lines, modules)
-	fmt.Printf("%8s %10s %8s %8s %12s %10s\n",
-		"pass", "wall(ms)", "hits", "misses", "cache(B)", "messages")
-
-	var rows []incrementalRow
-	runPass := func(name string) incrementalRow {
-		m := obs.New()
-		opt := core.Options{
-			Includes: cpp.MapIncluder(p.Headers), Cache: c, Metrics: m, Jobs: 1,
-		}
-		var results map[string]*core.Result
-		elapsed, alloc := measureRow(func() {
-			results = library.CheckModules(mods, lib, opt)
-		})
-		messages := 0
-		for _, res := range results {
-			messages += len(res.Diags)
-		}
-		row := incrementalRow{
-			Pass:        name,
-			WallMS:      float64(elapsed.Microseconds()) / 1000,
-			CacheHits:   m.Get(obs.CacheHits),
-			CacheMisses: m.Get(obs.CacheMisses),
-			CacheBytes:  m.Get(obs.CacheBytes),
-			Messages:    messages,
-			AllocBytes:  alloc,
-		}
-		fmt.Printf("%8s %10.1f %8d %8d %12d %10d\n",
-			name, row.WallMS, row.CacheHits, row.CacheMisses, row.CacheBytes, row.Messages)
-		return row
-	}
-
-	var doc incrementalDoc
-	meta := measure("golclint-bench-incremental/v1", "E16", func() {
-		rows = append(rows, runPass("cold"))
-		rows = append(rows, runPass("warm"))
-		// Implementation-only edit to one module: exactly one re-check.
-		mods["mod0.c"] = map[string]string{"mod0.c": p.Files["mod0.c"] + "\nint e16_dirty_marker;\n"}
-		rows = append(rows, runPass("dirty"))
-	})
-	doc = incrementalDoc{
-		benchMeta: meta, Modules: modules, Lines: p.Lines, Jobs: 1, Rows: rows,
-		SpeedupWarm:  rows[0].WallMS / rows[1].WallMS,
-		SpeedupDirty: rows[0].WallMS / rows[2].WallMS,
-	}
-	fmt.Printf("warm %.1fx, one-module-dirty %.1fx faster than cold\n",
-		doc.SpeedupWarm, doc.SpeedupDirty)
-	fmt.Println("paper shape: unchanged modules replay from the cache; editing touches only what changed")
-	writeBenchJSON("BENCH_incremental.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -776,14 +742,14 @@ func runIncrementalModules(modules int) {
 // (parsing and environment construction hoisted out, serial workers) over
 // the E9 reference corpus: ns per whole-corpus pass, allocations per pass,
 // and the copy-on-write counters. The emitted BENCH_state.json also carries
-// the committed allocation budget that scripts/bench.sh enforces, plus the
-// map-keyed store's numbers from the commit that replaced it, so the file
-// is a self-contained before/after record.
+// the committed allocation budget its gate enforces, plus the map-keyed
+// store's numbers from the commit that replaced it, so the file is a
+// self-contained before/after record.
 
 const (
 	// stateBudgetAllocsPerOp is the committed check-phase allocation budget
-	// on the E17 workload; scripts/bench.sh fails its smoke run when a build
-	// exceeds it by more than 20% (the regression guard).
+	// on the E17 workload; a build exceeding it by more than 20% fails the
+	// gate (the regression guard).
 	stateBudgetAllocsPerOp = 17000
 
 	// stateBaseline* record the string-keyed map store's cost on the same
@@ -799,8 +765,8 @@ type stateDoc struct {
 	Lines   int `json:"lines"`
 	Modules int `json:"modules"`
 	Iters   int `json:"iters"`
-	// CheckNSPerOp / Alloc*PerOp are per whole-corpus CheckProgram pass,
-	// averaged over Iters passes.
+	// CheckNSPerOp is the median whole-corpus CheckProgram pass over Iters
+	// passes; Alloc*PerOp are the mean per pass.
 	CheckNSPerOp    int64  `json:"check_ns_per_op"`
 	AllocBytesPerOp uint64 `json:"alloc_bytes_per_op"`
 	AllocsPerOp     uint64 `json:"allocs_per_op"`
@@ -814,46 +780,35 @@ type stateDoc struct {
 	BaselineAllocsPerOp  uint64 `json:"baseline_allocs_per_op"`
 }
 
-func runState() { runStateIters(10) }
-
-// runStateIters is runState with a configurable pass count (the -quick
-// smoke uses fewer). The corpus is always E9's 32-module configuration so
-// the committed allocation budget means the same thing in every mode.
-func runStateIters(iters int) {
-	header("E17", "interned-reference dense store: check-phase cost")
-	p := testgen.Generate(testgen.Config{
+// e17Corpus is the E9 32-module configuration E17, E18 and E19 share in
+// every mode, so the committed allocation budgets mean the same thing in
+// each.
+func e17Corpus() *testgen.Program {
+	return testgen.Generate(testgen.Config{
 		Seed: 42, Modules: 32, FuncsPer: 10, Annotate: true,
 		Bugs: map[testgen.BugKind]int{testgen.BugLeak: 16},
 	})
+}
+
+func runState(quick bool) (benchDoc, error) {
+	iters := 10
+	if quick {
+		iters = 3
+	}
+	header("E17", "interned-reference dense store: check-phase cost")
+	p := e17Corpus()
 	m := obs.New()
 	res := core.CheckSources(p.Files, core.Options{Includes: cpp.MapIncluder(p.Headers), Metrics: m})
 	if res.Program == nil {
-		fmt.Fprintln(os.Stderr, "lclbench: E17 corpus failed to parse")
-		return
+		return nil, errors.New("E17 corpus failed to parse")
 	}
 	fl := flags.Default()
-	check := func() {
-		rep := diag.NewReporter(fl.MaxMessages)
-		core.CheckProgram(res.Program, fl, rep)
-	}
-	check() // warm code paths before measuring
-	var doc stateDoc
-	meta := measure("golclint-bench-state/v1", "E17", func() {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			check()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		doc.CheckNSPerOp = elapsed.Nanoseconds() / int64(iters)
-		doc.AllocBytesPerOp = (after.TotalAlloc - before.TotalAlloc) / uint64(iters)
-		doc.AllocsPerOp = (after.Mallocs - before.Mallocs) / uint64(iters)
-	})
+	doc := &stateDoc{Lines: p.Lines, Modules: 32, Iters: iters}
+	t := doc.record("check_ns_per_op", timeReps(1, iters, func() {
+		core.CheckProgram(res.Program, fl, diag.NewReporter(fl.MaxMessages))
+	})[0])
+	doc.CheckNSPerOp, doc.AllocBytesPerOp, doc.AllocsPerOp = t.MedianNS, t.BytesPerOp, t.AllocsPerOp
 	snap := m.Snapshot()
-	doc.benchMeta = meta
-	doc.Lines, doc.Modules, doc.Iters = p.Lines, 32, iters
 	doc.StoreClones = snap.Counters["store_clones"]
 	doc.RefStatesCopied = snap.Counters["refstates_copied"]
 	doc.MergeNS = snap.Counters["merge_ns"]
@@ -871,9 +826,9 @@ func runStateIters(iters int) {
 		float64(stateBaselineAllocsPerOp)/float64(doc.AllocsPerOp))
 	fmt.Printf("cow: %d clones, %d copies faulted, %.1f ms merging\n",
 		doc.StoreClones, doc.RefStatesCopied, float64(doc.MergeNS)/1e6)
-	fmt.Printf("committed budget: %d allocs/op (smoke fails above +20%%)\n",
+	fmt.Printf("committed budget: %d allocs/op (gate fails above +20%%)\n",
 		uint64(stateBudgetAllocsPerOp))
-	writeBenchJSON("BENCH_state.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -882,14 +837,13 @@ func runStateIters(iters int) {
 // whole-corpus pass and allocations per pass at jobs=1, plus the wall time
 // of the same pass at jobs=4 so the fan-out's effect on the host machine is
 // on record. The emitted BENCH_frontend.json carries the committed
-// allocation budget that scripts/bench.sh enforces and the pre-rewrite
-// per-file frontend's numbers, so the file is a self-contained
-// before/after record.
+// allocation budget its gate enforces and the pre-rewrite per-file
+// frontend's numbers, so the file is a self-contained before/after record.
 
 const (
 	// frontendBudgetAllocsPerOp is the committed frontend allocation budget
-	// on the E18 workload; scripts/bench.sh fails its smoke run when a
-	// build exceeds it by more than 20% (the regression guard).
+	// on the E18 workload; a build exceeding it by more than 20% fails the
+	// gate (the regression guard).
 	frontendBudgetAllocsPerOp = 6500
 
 	// frontendBaseline* record the serial copying frontend's cost on the
@@ -908,8 +862,8 @@ type frontendDoc struct {
 	Lines   int `json:"lines"`
 	Modules int `json:"modules"`
 	Iters   int `json:"iters"`
-	// *PerOp figures are per whole-corpus Frontend pass at jobs=1,
-	// averaged over Iters passes.
+	// FrontendNSPerOp is the median whole-corpus Frontend pass at jobs=1
+	// over Iters passes; Alloc*PerOp are the mean per pass.
 	FrontendNSPerOp int64  `json:"frontend_ns_per_op"`
 	AllocBytesPerOp uint64 `json:"alloc_bytes_per_op"`
 	AllocsPerOp     uint64 `json:"allocs_per_op"`
@@ -926,50 +880,26 @@ type frontendDoc struct {
 	BaselineBytesPerOp  uint64 `json:"baseline_bytes_per_op"`
 }
 
-func runFrontend() { runFrontendIters(20) }
-
-// runFrontendIters is runFrontend with a configurable pass count (the
-// -quick smoke uses fewer). The corpus is always E9's 32-module
-// configuration so the committed allocation budget means the same thing in
-// every mode.
-func runFrontendIters(iters int) {
+func runFrontend(quick bool) (benchDoc, error) {
+	iters := 20
+	if quick {
+		iters = 3
+	}
 	header("E18", "parallel zero-copy frontend: preprocess+parse cost")
-	p := testgen.Generate(testgen.Config{
-		Seed: 42, Modules: 32, FuncsPer: 10, Annotate: true,
-		Bugs: map[testgen.BugKind]int{testgen.BugLeak: 16},
-	})
+	p := e17Corpus()
 	opts := func(jobs int) core.Options {
 		return core.Options{Includes: cpp.MapIncluder(p.Headers), Jobs: jobs}
 	}
-	front := func(jobs int) { core.Frontend(p.Files, opts(jobs)) }
-	front(1) // warm code paths before measuring
-	var doc frontendDoc
-	meta := measure("golclint-bench-frontend/v1", "E18", func() {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			front(1)
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		doc.FrontendNSPerOp = elapsed.Nanoseconds() / int64(iters)
-		doc.AllocBytesPerOp = (after.TotalAlloc - before.TotalAlloc) / uint64(iters)
-		doc.AllocsPerOp = (after.Mallocs - before.Mallocs) / uint64(iters)
-
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			front(4)
-		}
-		doc.Jobs4NSPerOp = time.Since(start).Nanoseconds() / int64(iters)
-	})
+	front := func(jobs int) func() { return func() { core.Frontend(p.Files, opts(jobs)) } }
+	doc := &frontendDoc{Lines: p.Lines, Modules: 32, Iters: iters}
+	t := doc.record("frontend_ns_per_op", timeReps(1, iters, front(1))[0])
+	doc.FrontendNSPerOp, doc.AllocBytesPerOp, doc.AllocsPerOp = t.MedianNS, t.BytesPerOp, t.AllocsPerOp
+	doc.Jobs4NSPerOp = doc.record("jobs4_ns_per_op", timeReps(1, iters, front(4))[0]).MedianNS
 	m := obs.New()
 	o := opts(1)
 	o.Metrics = m
 	core.Frontend(p.Files, o)
 	snap := m.Snapshot()
-	doc.benchMeta = meta
-	doc.Lines, doc.Modules, doc.Iters = p.Lines, 32, iters
 	doc.PreprocessWallNS = snap.PreprocessWallNS
 	doc.ParseWallNS = snap.ParseWallNS
 	doc.BudgetAllocsPerOp = frontendBudgetAllocsPerOp
@@ -990,9 +920,9 @@ func runFrontendIters(iters int) {
 		float64(frontendBaselineBytesPerOp)/float64(doc.AllocBytesPerOp))
 	fmt.Printf("jobs=4 wall: %d ns/op; phase wall: preprocess %.2f ms, parse %.2f ms\n",
 		doc.Jobs4NSPerOp, float64(doc.PreprocessWallNS)/1e6, float64(doc.ParseWallNS)/1e6)
-	fmt.Printf("committed budget: %d allocs/op (smoke fails above +20%%)\n",
+	fmt.Printf("committed budget: %d allocs/op (gate fails above +20%%)\n",
 		uint64(frontendBudgetAllocsPerOp))
-	writeBenchJSON("BENCH_frontend.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,8 +931,8 @@ func runFrontendIters(iters int) {
 // capable path with recording off, and with recording on — interleaved so
 // machine drift hits all three equally. The off-vs-baseline delta is the
 // cost the provenance hooks impose on every default run (the ≤2% wall /
-// zero-extra-allocs contract scripts/bench.sh enforces); the on-vs-off
-// delta is the price of actually recording witnesses under -explain.
+// zero-extra-allocs contract its gates enforce); the on-vs-off delta is the
+// price of actually recording witnesses under -explain.
 
 // provenanceDoc is BENCH_provenance.json.
 type provenanceDoc struct {
@@ -1035,75 +965,34 @@ type provenanceDoc struct {
 	BudgetAllocsPerOp uint64 `json:"budget_allocs_per_op"`
 }
 
-func runProvenance() { runProvenanceIters(10) }
-
-// runProvenanceIters is runProvenance with a configurable pass count (the
-// -quick smoke uses fewer). The corpus matches E17 exactly so the committed
-// allocation budget carries over.
-func runProvenanceIters(iters int) {
+// runProvenance runs 10 passes per mode in every configuration; its corpus
+// matches E17 exactly so the committed allocation budget carries over.
+func runProvenance(bool) (benchDoc, error) {
+	const iters = 10
 	header("E19", "diagnostic provenance: recording overhead")
-	p := testgen.Generate(testgen.Config{
-		Seed: 42, Modules: 32, FuncsPer: 10, Annotate: true,
-		Bugs: map[testgen.BugKind]int{testgen.BugLeak: 16},
-	})
+	p := e17Corpus()
 	res := core.CheckSources(p.Files, core.Options{Includes: cpp.MapIncluder(p.Headers)})
 	if res.Program == nil {
-		fmt.Fprintln(os.Stderr, "lclbench: E19 corpus failed to parse")
-		return
+		return nil, errors.New("E19 corpus failed to parse")
 	}
 	fl := flags.Default()
-	baseline := func() {
-		rep := diag.NewReporter(fl.MaxMessages)
-		core.CheckProgram(res.Program, fl, rep)
-	}
+	baseline := func() { core.CheckProgram(res.Program, fl, diag.NewReporter(fl.MaxMessages)) }
 	pass := func(explain bool) func() {
-		return func() {
-			rep := diag.NewReporter(fl.MaxMessages)
-			core.CheckProgramExplain(res.Program, fl, rep, explain)
-		}
+		return func() { core.CheckProgramExplain(res.Program, fl, diag.NewReporter(fl.MaxMessages), explain) }
 	}
-	modes := []func(){baseline, pass(false), pass(true)}
-	for _, f := range modes {
-		f() // warm code paths before measuring
-	}
-	minNS := [3]int64{1 << 62, 1 << 62, 1 << 62}
-	var mallocs, bytes [3]uint64
-	var doc provenanceDoc
-	meta := measure("golclint-bench-provenance/v1", "E19", func() {
-		var before, after runtime.MemStats
-		for i := 0; i < iters; i++ {
-			for j, f := range modes {
-				// Settle the heap so a collection triggered by earlier
-				// experiments' garbage cannot land inside one mode's pass
-				// and skew the three-way comparison.
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				start := time.Now()
-				f()
-				elapsed := time.Since(start).Nanoseconds()
-				runtime.ReadMemStats(&after)
-				if elapsed < minNS[j] {
-					minNS[j] = elapsed
-				}
-				mallocs[j] += after.Mallocs - before.Mallocs
-				bytes[j] += after.TotalAlloc - before.TotalAlloc
-			}
-		}
-	})
-	doc.benchMeta = meta
-	doc.Lines, doc.Modules, doc.Iters = p.Lines, 32, iters
-	doc.BaselineCheckNSPerOp, doc.OffCheckNSPerOp, doc.OnCheckNSPerOp = minNS[0], minNS[1], minNS[2]
-	doc.BaselineAllocsPerOp = mallocs[0] / uint64(iters)
-	doc.OffAllocsPerOp = mallocs[1] / uint64(iters)
-	doc.OnAllocsPerOp = mallocs[2] / uint64(iters)
-	doc.OffAllocBytesPerOp = bytes[1] / uint64(iters)
-	doc.OnAllocBytesPerOp = bytes[2] / uint64(iters)
+	doc := &provenanceDoc{Lines: p.Lines, Modules: 32, Iters: iters, BudgetAllocsPerOp: stateBudgetAllocsPerOp}
+	ts := timeReps(1, iters, baseline, pass(false), pass(true))
+	base := doc.record("baseline_check_ns_per_op", ts[0])
+	off := doc.record("off_check_ns_per_op", ts[1])
+	on := doc.record("on_check_ns_per_op", ts[2])
+	doc.BaselineCheckNSPerOp, doc.OffCheckNSPerOp, doc.OnCheckNSPerOp = base.MinNS, off.MinNS, on.MinNS
+	doc.BaselineAllocsPerOp, doc.OffAllocsPerOp, doc.OnAllocsPerOp = base.AllocsPerOp, off.AllocsPerOp, on.AllocsPerOp
+	doc.OffAllocBytesPerOp, doc.OnAllocBytesPerOp = off.BytesPerOp, on.BytesPerOp
 	doc.OverheadOffPct = 100 * (float64(doc.OffCheckNSPerOp) - float64(doc.BaselineCheckNSPerOp)) /
 		float64(doc.BaselineCheckNSPerOp)
 	doc.OverheadOnPct = 100 * (float64(doc.OnCheckNSPerOp) - float64(doc.OffCheckNSPerOp)) /
 		float64(doc.OffCheckNSPerOp)
 	doc.ExtraAllocsOffPerOp = int64(doc.OffAllocsPerOp) - int64(doc.BaselineAllocsPerOp)
-	doc.BudgetAllocsPerOp = stateBudgetAllocsPerOp
 
 	rep := diag.NewReporter(fl.MaxMessages)
 	core.CheckProgramExplain(res.Program, fl, rep, true)
@@ -1124,17 +1013,16 @@ func runProvenanceIters(iters int) {
 		doc.OverheadOffPct, doc.ExtraAllocsOffPerOp)
 	fmt.Printf("recording overhead (on vs off): %+.2f%% wall\n", doc.OverheadOnPct)
 	fmt.Printf("witnesses: %d/%d diagnostics carry a non-empty path\n", doc.Witnessed, doc.Diags)
-	writeBenchJSON("BENCH_provenance.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
 // E20: counterexample validation. Checks a seeded corpus covering every bug
 // kind with witnesses on, then runs the validation search (internal/validate)
 // over the diagnostics and reports the confirmed rate and per-diagnostic
-// cost. The gates scripts/bench.sh enforces: every seeded bug's diagnostic
-// validates `confirmed` (the static claims are demonstrable), the overall
-// confirmed rate stays >= 0.8, and a whole-corpus validation pass stays
-// inside the committed wall budget.
+// cost. Its gates: every seeded bug's diagnostic validates `confirmed` (the
+// static claims are demonstrable), the overall confirmed rate stays >= 0.8,
+// and a whole-corpus validation pass stays inside the committed wall budget.
 
 // validateBudgetNSPerOp is the committed wall budget for one whole-corpus
 // validation pass (generous: the measured figure is ~two orders below).
@@ -1164,11 +1052,11 @@ type validateDoc struct {
 	BudgetNSPerOp   int64 `json:"budget_ns_per_op"`
 }
 
-func runValidate() { runValidateIters(10) }
-
-// runValidateIters is runValidate with a configurable pass count (the
-// -quick smoke uses fewer).
-func runValidateIters(iters int) {
+func runValidate(quick bool) (benchDoc, error) {
+	iters := 10
+	if quick {
+		iters = 3
+	}
 	header("E20", "counterexample validation: confirmed rate and cost")
 	bugsEach := 4
 	p := testgen.Generate(testgen.Config{
@@ -1183,38 +1071,26 @@ func runValidateIters(iters int) {
 		Includes: cpp.MapIncluder(p.Headers), Explain: true,
 	})
 	if res.Program == nil || len(res.ParseErrors) > 0 {
-		fmt.Fprintln(os.Stderr, "lclbench: E20 corpus failed to parse")
-		return
+		return nil, errors.New("E20 corpus failed to parse")
 	}
 
-	var doc validateDoc
+	doc := &validateDoc{Lines: p.Lines, Modules: 24, Iters: iters, BudgetNSPerOp: validateBudgetNSPerOp}
 	var sum validate.Summary
-	minNS := int64(1 << 62)
-	meta := measure("golclint-bench-validate/v1", "E20", func() {
-		for i := 0; i < iters; i++ {
-			// Apply skips already-tagged diagnostics (cache replay leaves
-			// them tagged); clear the tags so every pass is a full one.
-			for _, d := range res.Diags {
-				d.Validation = nil
-			}
-			start := time.Now()
-			sum = validate.Apply(res.Program, res.Diags, validate.Options{})
-			elapsed := time.Since(start).Nanoseconds()
-			if elapsed < minNS {
-				minNS = elapsed
-			}
+	t := doc.record("validate_ns_per_op", timeReps(1, iters, func() {
+		// Apply skips already-tagged diagnostics (cache replay leaves
+		// them tagged); clear the tags so every pass is a full one.
+		for _, d := range res.Diags {
+			d.Validation = nil
 		}
-	})
-	doc.benchMeta = meta
-	doc.Lines, doc.Modules, doc.Iters = p.Lines, 24, iters
+		sum = validate.Apply(res.Program, res.Diags, validate.Options{})
+	})[0])
 	doc.Diags = sum.Examined
 	doc.Confirmed, doc.Infeasible, doc.Unreproduced = sum.Confirmed, sum.Infeasible, sum.Unreproduced
+	doc.ValidateNSPerOp = t.MinNS
 	if doc.Diags > 0 {
 		doc.ConfirmedRate = float64(doc.Confirmed) / float64(doc.Diags)
-		doc.NSPerDiag = minNS / int64(doc.Diags)
+		doc.NSPerDiag = t.MinNS / int64(doc.Diags)
 	}
-	doc.ValidateNSPerOp = minNS
-	doc.BudgetNSPerOp = validateBudgetNSPerOp
 
 	doc.SeededTotal = len(p.Bugs)
 	for _, b := range p.Bugs {
@@ -1235,7 +1111,7 @@ func runValidateIters(iters int) {
 	fmt.Printf("confirmed rate: %.3f (gate: >= 0.8)\n", doc.ConfirmedRate)
 	fmt.Printf("validation pass: %d ns/op, %d ns/diag (budget %d ns/op)\n",
 		doc.ValidateNSPerOp, doc.NSPerDiag, doc.BudgetNSPerOp)
-	writeBenchJSON("BENCH_validate.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1245,7 +1121,7 @@ func runValidateIters(iters int) {
 // cold single-shot CLI run over an E9-style corpus against warm requests to
 // a live server (same corpus, same checker path), records warm p50/p99 and
 // coalescing under concurrent clients, and BENCH_serve.json carries the
-// speedup scripts/bench.sh gates at >= 5x.
+// speedup its gate holds at >= 5x.
 
 // serveDoc is BENCH_serve.json.
 type serveDoc struct {
@@ -1276,165 +1152,103 @@ type serveDoc struct {
 	CacheBytes   int64 `json:"cache_bytes"`
 }
 
-func runServe() { runServeConfig(32, 10, 60, 4) }
-
-// runServeConfig is runServe over a configurable corpus (modules × funcsPer),
-// warm-request count, and concurrent-client count (the -quick smoke uses a
-// small configuration).
-func runServeConfig(modules, funcsPer, warmReqs, clients int) {
+func runServe(quick bool) (benchDoc, error) {
+	modules, funcsPer, warmReqs, clients := 32, 10, 60, 4
+	if quick {
+		modules, funcsPer, warmReqs = 8, 6, 20
+	}
 	header("E21", "analysis server: warm request latency vs cold CLI")
 	p := testgen.Generate(testgen.Config{
 		Seed: 42, Modules: modules, FuncsPer: funcsPer, Annotate: true,
 		Bugs: map[testgen.BugKind]int{testgen.BugLeak: modules / 2},
 	})
+	doc := &serveDoc{Lines: p.Lines, Modules: modules, WarmReqs: warmReqs, Clients: clients}
 
 	// Cold CLI baseline: the corpus on disk, checked by the same entry point
 	// the golclint binary uses, no cache directory — every run pays the full
 	// frontend and analysis. Best of 3 keeps scheduler noise out of the
 	// denominator (understating the speedup, never inflating it).
-	dir, err := os.MkdirTemp("", "golclint-bench-serve-")
+	dir, paths, err := materializeCorpus("", p)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	var args []string
-	for name, src := range p.Headers {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-			return
+	coldCLI := doc.record("cold_cli_ns", timeReps(0, 3, func() {
+		if code := cli.Run(paths, io.Discard, io.Discard); code > 1 && err == nil {
+			err = fmt.Errorf("cold CLI run exited %d", code)
 		}
-	}
-	for name, src := range p.Files {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-			return
-		}
-		args = append(args, path)
-	}
-	sort.Strings(args)
-	coldCLI := int64(1 << 62)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		cli.Run(args, io.Discard, io.Discard)
-		if ns := time.Since(start).Nanoseconds(); ns < coldCLI {
-			coldCLI = ns
-		}
+	})[0])
+	if err != nil {
+		return nil, err
 	}
 
-	// Live server on a loopback port, exactly as `golclint -serve` runs it.
+	// A live server on a loopback port, exactly as `golclint -serve` runs
+	// it. Request bodies are encoded up front so the timings cover the
+	// round trip alone.
 	srv, err := server.New(server.Options{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
+		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := listen(srv)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-		return
+		return nil, err
 	}
-	defer ln.Close()
-	go srv.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	post := func(req *server.CheckRequest) (time.Duration, error) {
-		body, err := json.Marshal(req)
-		if err != nil {
-			return 0, err
+	defer stop()
+	post := func(body []byte) {
+		if err == nil {
+			err = postCheck(base, body)
 		}
-		start := time.Now()
-		resp, err := http.Post(base+"/check", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return 0, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("POST /check: %s", resp.Status)
-		}
-		return time.Since(start), nil
 	}
+	batch, err := json.Marshal(&server.CheckRequest{Files: p.Files, Headers: p.Headers})
+	if err != nil {
+		return nil, err
+	}
+	cold := doc.record("cold_server_ns", timeReps(0, 1, func() { post(batch) })[0])
+	warm := doc.record("warm_p50_ns", timeReps(1, warmReqs, func() { post(batch) })[0])
 
-	var doc serveDoc
-	meta := measure("golclint-bench-serve/v1", "E21", func() {
-		// Whole-corpus batch request: the server-side equivalent of the cold
-		// CLI run above.
-		batch := &server.CheckRequest{Files: p.Files, Headers: p.Headers}
-		cold, err := post(batch)
+	// Concurrent clients over per-module requests (primed once each):
+	// the editor-fleet shape. Identical in-flight requests coalesce.
+	var perMod [][]byte
+	for _, name := range sortedKeys(p.Files) {
+		body, err := json.Marshal(&server.CheckRequest{Files: map[string]string{name: p.Files[name]}, Headers: p.Headers})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-			return
+			return nil, err
 		}
-		doc.ColdServerNS = cold.Nanoseconds()
-
-		warm := make([]int64, 0, warmReqs)
-		for i := 0; i < warmReqs; i++ {
-			d, err := post(batch)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-				return
-			}
-			warm = append(warm, d.Nanoseconds())
-		}
-		sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })
-		doc.WarmP50NS = warm[len(warm)/2]
-		p99 := len(warm) * 99 / 100
-		if p99 >= len(warm) {
-			p99 = len(warm) - 1
-		}
-		doc.WarmP99NS = warm[p99]
-
-		// Concurrent clients over per-module requests (primed once each):
-		// the editor-fleet shape. Identical in-flight requests coalesce.
-		perMod := make([]*server.CheckRequest, 0, len(p.Files))
-		for _, name := range sortedKeys(p.Files) {
-			req := &server.CheckRequest{
-				Files:   map[string]string{name: p.Files[name]},
-				Headers: p.Headers,
-			}
-			if _, err := post(req); err != nil {
-				fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-				return
-			}
-			perMod = append(perMod, req)
-		}
-		burst := clients * 2 * len(perMod)
+		post(body)
+		perMod = append(perMod, body)
+	}
+	burst := doc.record("throughput_rps", timeReps(0, 1, func() {
+		errs := make([]error, clients)
 		var wg sync.WaitGroup
-		burstStart := time.Now()
-		for c := 0; c < clients; c++ {
-			c := c
+		for c := range errs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 2*len(perMod); i++ {
-					if _, err := post(perMod[(c+i)%len(perMod)]); err != nil {
-						fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-						return
-					}
+				for i := 0; i < 2*len(perMod) && errs[c] == nil; i++ {
+					errs[c] = postCheck(base, perMod[(c+i)%len(perMod)])
 				}
 			}()
 		}
 		wg.Wait()
-		doc.Clients = clients
-		doc.BurstReqs = burst
-		doc.ThroughputRPS = float64(burst) / time.Since(burstStart).Seconds()
-	})
+		if err == nil {
+			err = errors.Join(errs...)
+		}
+	})[0])
+	if err != nil {
+		return nil, err
+	}
 
 	st := srv.StatsSnapshot()
-	doc.benchMeta = meta
-	doc.Lines, doc.Modules = p.Lines, modules
-	doc.ColdCLINS = coldCLI
-	doc.WarmReqs = warmReqs
-	doc.SpeedupWarm = float64(coldCLI) / float64(doc.WarmP50NS)
-	doc.Coalesced = st.Coalesced
-	doc.MemoHits = st.MemoHits
-	doc.CacheEntries = st.CacheMem.Entries
-	doc.CacheBytes = st.CacheMem.Bytes
+	doc.ColdCLINS, doc.ColdServerNS = coldCLI.MinNS, cold.MedianNS
+	doc.WarmP50NS, doc.WarmP99NS = warm.MedianNS, warm.percentile(99)
+	doc.SpeedupWarm = float64(doc.ColdCLINS) / float64(doc.WarmP50NS)
+	doc.BurstReqs = clients * 2 * len(perMod)
+	doc.ThroughputRPS = float64(doc.BurstReqs) / (float64(burst.MedianNS) / 1e9)
+	doc.Coalesced, doc.MemoHits = st.Coalesced, st.MemoHits
+	doc.CacheEntries, doc.CacheBytes = st.CacheMem.Entries, st.CacheMem.Bytes
 
 	fmt.Printf("corpus: %d lines, %d modules\n", p.Lines, modules)
-	fmt.Printf("%-24s %12.1f ms\n", "cold CLI (best of 3)", float64(coldCLI)/1e6)
+	fmt.Printf("%-24s %12.1f ms\n", "cold CLI (best of 3)", float64(doc.ColdCLINS)/1e6)
 	fmt.Printf("%-24s %12.1f ms\n", "cold server request", float64(doc.ColdServerNS)/1e6)
 	fmt.Printf("%-24s %12.2f ms  p99 %.2f ms (%d reqs)\n", "warm server request p50",
 		float64(doc.WarmP50NS)/1e6, float64(doc.WarmP99NS)/1e6, warmReqs)
@@ -1443,7 +1257,35 @@ func runServeConfig(modules, funcsPer, warmReqs, clients int) {
 		doc.Clients, doc.BurstReqs, doc.ThroughputRPS, doc.Coalesced, doc.MemoHits)
 	fmt.Printf("resident cache: %d entries, %d bytes\n", doc.CacheEntries, doc.CacheBytes)
 	fmt.Println("paper extension: a resident checker turns whole-corpus re-checks into millisecond requests")
-	writeBenchJSON("BENCH_serve.json", doc)
+	return doc, nil
+}
+
+// postCheck posts an encoded CheckRequest to the server at base and drains
+// the response.
+func postCheck(base string, body []byte) error {
+	resp, err := http.Post(base+"/check", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST /check: %s", resp.Status)
+	}
+	return nil
+}
+
+// listen serves s on a loopback port, as golclint's -serve and -cache-serve
+// do, and returns its base URL and a func that stops it (never nil).
+func listen(s interface{ Serve(net.Listener) error }) (string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", func() {}, err
+	}
+	go s.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { ln.Close() }, nil
 }
 
 // sortedKeys returns m's keys in sorted order.
@@ -1473,11 +1315,12 @@ type distributedRow struct {
 	Lines   int `json:"lines"`
 	Modules int `json:"modules"`
 	Shards  int `json:"shards"`
-	// CheckMS is the summed wall time of all shard workers (the host is
-	// single-core, so the sum is the honest fleet cost).
+	// CheckMS is the wall time of the whole fleet, its workers run one
+	// after another (the sum is the honest fleet cost on a small host).
 	CheckMS   float64 `json:"check_ms"`
 	MSPerKLOC float64 `json:"ms_per_kloc"`
-	Messages  int     `json:"messages"`
+	// Messages is the diagnostics the fleet's workers reported together.
+	Messages int `json:"messages"`
 }
 
 type distributedDoc struct {
@@ -1509,12 +1352,11 @@ type distributedDoc struct {
 	WarmReplayIdentical        bool    `json:"warm_replay_identical"`
 }
 
-func runDistributed() { runDistributedConfig(false) }
-
-// materializeCorpus writes p to a temp dir, returning the sorted .c paths.
-// The caller removes the dir.
-func materializeCorpus(p *testgen.Program) (string, []string, error) {
-	dir, err := os.MkdirTemp("", "golclint-bench-dist-")
+// materializeCorpus writes p to a new temp dir under root ("" for the
+// system default), returning the dir and the sorted .c paths. The caller
+// removes the dir.
+func materializeCorpus(root string, p *testgen.Program) (string, []string, error) {
+	dir, err := os.MkdirTemp(root, "golclint-bench-")
 	if err != nil {
 		return "", nil, err
 	}
@@ -1532,50 +1374,36 @@ func materializeCorpus(p *testgen.Program) (string, []string, error) {
 	return dir, args, nil
 }
 
-// startBlobServer runs an in-process shared remote store on a loopback
-// port, exactly as `golclint -cache-serve` serves it. It returns the
-// server (for stats), its base URL, and a shutdown func.
-func startBlobServer(dir string) (*server.BlobServer, string, func(), error) {
-	bs, err := server.NewBlob(server.BlobOptions{Dir: dir})
-	if err != nil {
-		return nil, "", nil, err
+// freshDirs returns a func naming a new directory under root on each call.
+// Caches create their directory on first use, and removing root removes
+// them all.
+func freshDirs(root string) func() string {
+	n := 0
+	return func() string {
+		n++
+		return filepath.Join(root, fmt.Sprintf("cache%d", n))
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", nil, err
-	}
-	go bs.Serve(ln)
-	return bs, "http://" + ln.Addr().String(), func() { ln.Close() }, nil
 }
 
-// runShardFleet runs n shard workers sequentially (one core) over paths,
-// all sharing cacheDir and, if non-empty, the remote store at remoteURL.
-// It returns the summed wall time and the highest exit code.
-func runShardFleet(n int, paths []string, cacheDir, remoteURL string, extra ...string) (time.Duration, int) {
-	var total time.Duration
-	exit := 0
+// runShardFleet runs n shard workers one after another over paths, all
+// sharing cacheDir ("" for none) and the extra flags, and returns how many
+// diagnostics the fleet reported.
+func runShardFleet(n int, paths []string, cacheDir string, extra ...string) (int, error) {
+	messages := 0
 	for i := 0; i < n; i++ {
-		args := []string{"-shard", fmt.Sprintf("%d/%d", i, n)}
-		if cacheDir != "" {
-			args = append(args, "-cache-dir", cacheDir)
+		lines, _, err := shardJSONL(fmt.Sprintf("%d/%d", i, n), paths, cacheDir, extra...)
+		if err != nil {
+			return 0, err
 		}
-		if remoteURL != "" {
-			args = append(args, "-remote-cache", remoteURL)
-		}
-		args = append(args, extra...)
-		args = append(args, paths...)
-		start := time.Now()
-		code := cli.Run(args, io.Discard, io.Discard)
-		total += time.Since(start)
-		if code > exit {
-			exit = code
-		}
+		messages += len(lines)
 	}
-	return total, exit
+	return messages, nil
 }
 
 // shardJSONL runs one shard worker with a diag-jsonl stream and returns
-// the stream's lines sorted (the canonical merge order) plus stdout.
+// the stream's lines sorted (the canonical merge order) plus stdout. A
+// worker exiting above 1 (a usage or I/O failure, not an anomaly) is an
+// error.
 func shardJSONL(shard string, paths []string, cacheDir string, extra ...string) ([]string, string, error) {
 	tmp, err := os.CreateTemp("", "golclint-bench-jsonl-")
 	if err != nil {
@@ -1634,8 +1462,8 @@ func readDiskCompression(path string) (raw, comp int64, err error) {
 	return disk.RawBytes, disk.CompressedBytes, nil
 }
 
-// runDistributedConfig is E22; quick selects the reduced CI smoke corpora.
-func runDistributedConfig(quick bool) {
+// runDistributed is E22; quick selects the reduced CI smoke corpora.
+func runDistributed(quick bool) (benchDoc, error) {
 	header("E22", "distributed sharded checking over a shared remote cache")
 
 	// Corpus ladder. Full mode spans 10K to 1M+ lines across 2000 modules;
@@ -1652,189 +1480,175 @@ func runDistributedConfig(quick bool) {
 	}
 	const fleetShards = 4
 
-	doc := distributedDoc{Quick: quick, FleetShards: fleetShards,
+	doc := &distributedDoc{Quick: quick, FleetShards: fleetShards,
 		ParityShardCounts: []int{1, 2, 4, 8},
 		ParityCold:        true, ParityWarm: true, ParityExplain: true, ParityValidate: true,
 	}
-	fail := func(err error) bool {
+
+	root, err := os.MkdirTemp("", "golclint-bench-dist-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(root)
+
+	// (a) Scaling ladder: a cold 4-shard fleet writing through to a fresh
+	// shared remote store, at each corpus size.
+	fmt.Printf("%10s %8s %7s %12s %12s %10s\n", "lines", "modules", "shards", "fleet(ms)", "ms/kloc", "messages")
+	for i, modules := range moduleSizes {
+		p := testgen.Generate(testgen.Config{
+			Seed: 42, Modules: modules, FuncsPer: funcsPer, StmtsPer: stmtsPer,
+			Annotate: true,
+			Bugs:     map[testgen.BugKind]int{testgen.BugLeak: modules / 2},
+		})
+		dir, paths, err := materializeCorpus(root, p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-			return true
+			return nil, err
 		}
-		return false
+		fresh := freshDirs(dir)
+		bs, err := server.NewBlob(server.BlobOptions{Dir: fresh()})
+		if err != nil {
+			return nil, err
+		}
+		remoteURL, stop, err := listen(bs)
+		if err != nil {
+			return nil, err
+		}
+		defer stop()
+		var messages int
+		fleet := doc.record(fmt.Sprintf("rows[%d].check_ms", i), timeReps(0, 1, func() {
+			messages, err = runShardFleet(fleetShards, paths, fresh(), "-remote-cache", remoteURL)
+		})[0])
+		if err != nil {
+			return nil, err
+		}
+		ms := fleet.medianMS()
+		row := distributedRow{
+			Lines: p.Lines, Modules: modules, Shards: fleetShards,
+			CheckMS: ms, MSPerKLOC: ms / (float64(p.Lines) / 1000), Messages: messages,
+		}
+		fmt.Printf("%10d %8d %7d %12.1f %12.2f %10d\n",
+			row.Lines, row.Modules, row.Shards, row.CheckMS, row.MSPerKLOC, row.Messages)
+		doc.Rows = append(doc.Rows, row)
+
+		if i == len(moduleSizes)-1 {
+			// (b) Fleet section on the largest corpus. The remote store is
+			// now warm (the cold fleet above wrote through). A cold single
+			// process with a fresh disk pays full analysis; a fleet of
+			// workers with no local state at all — the fresh-machine shape
+			// — replays remote GETs instead.
+			coldSingle := doc.record("cold_single_ns", timeReps(0, 1, func() {
+				_, err = runShardFleet(1, paths, fresh())
+			})[0])
+			warmFleet := doc.record("cold_fleet_warm_remote_ns", timeReps(0, 1, func() {
+				if err == nil {
+					_, err = runShardFleet(fleetShards, paths, "", "-remote-cache", remoteURL)
+				}
+			})[0])
+			if err != nil {
+				return nil, err
+			}
+			doc.ColdSingleNS, doc.ColdFleetWarmRemoteNS = coldSingle.MedianNS, warmFleet.MedianNS
+			doc.FleetSpeedup = float64(coldSingle.MedianNS) / float64(warmFleet.MedianNS)
+			st := bs.StatsSnapshot()
+			doc.RemoteGets, doc.RemotePuts = st.Gets, st.Puts
+		}
+		os.RemoveAll(dir)
 	}
 
-	meta := measure("golclint-bench-distributed/v1", "E22", func() {
-		// (a) Scaling ladder: a cold 4-shard fleet writing through to a
-		// shared remote store, at each corpus size.
-		fmt.Printf("%10s %8s %7s %12s %12s\n", "lines", "modules", "shards", "fleet(ms)", "ms/kloc")
-		for _, modules := range moduleSizes {
-			p := testgen.Generate(testgen.Config{
-				Seed: 42, Modules: modules, FuncsPer: funcsPer, StmtsPer: stmtsPer,
-				Annotate: true,
-				Bugs:     map[testgen.BugKind]int{testgen.BugLeak: modules / 2},
-			})
-			dir, paths, err := materializeCorpus(p)
-			if fail(err) {
-				return
-			}
-			remoteDir, err := os.MkdirTemp("", "golclint-bench-remote-")
-			if fail(err) {
-				return
-			}
-			bs, remoteURL, stop, err := startBlobServer(remoteDir)
-			if fail(err) {
-				return
-			}
-			cacheDir, err := os.MkdirTemp("", "golclint-bench-cache-")
-			if fail(err) {
-				return
-			}
-			elapsed, _ := runShardFleet(fleetShards, paths, cacheDir, remoteURL)
-			ms := float64(elapsed.Microseconds()) / 1000
-			row := distributedRow{
-				Lines: p.Lines, Modules: modules, Shards: fleetShards,
-				CheckMS: ms, MSPerKLOC: ms / (float64(p.Lines) / 1000),
-			}
-			fmt.Printf("%10d %8d %7d %12.1f %12.2f\n", row.Lines, row.Modules, row.Shards, row.CheckMS, row.MSPerKLOC)
-			doc.Rows = append(doc.Rows, row)
-
-			if modules == moduleSizes[len(moduleSizes)-1] {
-				// (b) Fleet section on the largest corpus. The remote store
-				// is now warm (the cold fleet above wrote through). A cold
-				// single process with a fresh disk pays full analysis; a
-				// fleet of workers with no local state at all — the
-				// fresh-machine shape — replays remote GETs instead.
-				singleDir, err := os.MkdirTemp("", "golclint-bench-single-")
-				if fail(err) {
-					return
-				}
-				coldSingle, _ := runShardFleet(1, paths, singleDir, "")
-				warmFleet, _ := runShardFleet(fleetShards, paths, "", remoteURL)
-				doc.ColdSingleNS = coldSingle.Nanoseconds()
-				doc.ColdFleetWarmRemoteNS = warmFleet.Nanoseconds()
-				doc.FleetSpeedup = float64(coldSingle.Nanoseconds()) / float64(warmFleet.Nanoseconds())
-				st := bs.StatsSnapshot()
-				doc.RemoteGets, doc.RemotePuts = st.Gets, st.Puts
-				os.RemoveAll(singleDir)
-			}
-			stop()
-			os.RemoveAll(dir)
-			os.RemoveAll(cacheDir)
-			os.RemoveAll(remoteDir)
-		}
-
-		// (c) Parity: merged sorted shard streams equal the single-process
-		// stream for every n, cold and warm, in every output mode.
-		pp := testgen.Generate(testgen.Config{
-			Seed: 7, Modules: parityModules, FuncsPer: 3, Annotate: true,
-			Bugs: map[testgen.BugKind]int{
-				testgen.BugLeak: parityModules / 2, testgen.BugUseAfterFree: parityModules / 2,
-				testgen.BugNullDeref: parityModules / 2,
-			},
-		})
-		pdir, ppaths, err := materializeCorpus(pp)
-		if fail(err) {
-			return
-		}
-		defer os.RemoveAll(pdir)
-		for _, mode := range [][]string{nil, {"-explain"}, {"-validate"}} {
-			warmDir, err := os.MkdirTemp("", "golclint-bench-parity-")
-			if fail(err) {
-				return
-			}
-			single, _, err := shardJSONL("0/1", ppaths, warmDir, mode...)
-			if fail(err) {
-				return
-			}
-			want := strings.Join(single, "\n")
-			for _, n := range doc.ParityShardCounts {
-				for _, pass := range []string{"cold", "warm"} {
-					dir := warmDir
-					if pass == "cold" {
-						dir, err = os.MkdirTemp("", "golclint-bench-parity-")
-						if fail(err) {
-							return
-						}
-					}
-					var merged []string
-					for i := 0; i < n; i++ {
-						lines, _, err := shardJSONL(fmt.Sprintf("%d/%d", i, n), ppaths, dir, mode...)
-						if fail(err) {
-							return
-						}
-						merged = append(merged, lines...)
-					}
-					sort.Strings(merged)
-					ok := strings.Join(merged, "\n") == want
-					if !ok {
-						fmt.Printf("parity FAILED: n=%d %s mode=%v\n", n, pass, mode)
-					}
-					if pass == "cold" {
-						doc.ParityCold = doc.ParityCold && ok
-						os.RemoveAll(dir)
-					} else {
-						doc.ParityWarm = doc.ParityWarm && ok
-					}
-					switch {
-					case len(mode) > 0 && mode[0] == "-explain":
-						doc.ParityExplain = doc.ParityExplain && ok
-					case len(mode) > 0 && mode[0] == "-validate":
-						doc.ParityValidate = doc.ParityValidate && ok
-					}
-				}
-			}
-			os.RemoveAll(warmDir)
-		}
-		fmt.Printf("parity (n in %v, cold+warm, plain/explain/validate): cold=%v warm=%v explain=%v validate=%v\n",
-			doc.ParityShardCounts, doc.ParityCold, doc.ParityWarm, doc.ParityExplain, doc.ParityValidate)
-
-		// (d) Compression on the E9 corpus shape: gzip framing must at
-		// least halve stored bytes, and the warm replay from those
-		// compressed entries must be byte-identical.
-		cp := testgen.Generate(testgen.Config{
-			Seed: 42, Modules: compressionModules, FuncsPer: 10, Annotate: true,
-			Bugs: map[testgen.BugKind]int{testgen.BugLeak: compressionModules / 2},
-		})
-		cdir, cpaths, err := materializeCorpus(cp)
-		if fail(err) {
-			return
-		}
-		defer os.RemoveAll(cdir)
-		ccache, err := os.MkdirTemp("", "golclint-bench-comp-")
-		if fail(err) {
-			return
-		}
-		defer os.RemoveAll(ccache)
-		statsPath := filepath.Join(cdir, "stats.json")
-		coldOut, err := runWithStats(cpaths, ccache, statsPath)
-		if fail(err) {
-			return
-		}
-		raw, comp, err := readDiskCompression(statsPath)
-		if fail(err) {
-			return
-		}
-		doc.CompressionRawBytes, doc.CompressionCompressedBytes = raw, comp
-		if comp > 0 {
-			doc.CompressionRatio = float64(raw) / float64(comp)
-		}
-		_, warmOut, err := shardJSONL("0/1", cpaths, ccache)
-		if fail(err) {
-			return
-		}
-		doc.WarmReplayIdentical = coldOut == warmOut
-		fmt.Printf("compression: %d raw -> %d stored bytes (%.2fx), warm replay identical: %v\n",
-			raw, comp, doc.CompressionRatio, doc.WarmReplayIdentical)
+	// (c) Parity: merged sorted shard streams equal the single-process
+	// stream for every n, cold and warm, in every output mode.
+	pp := testgen.Generate(testgen.Config{
+		Seed: 7, Modules: parityModules, FuncsPer: 3, Annotate: true,
+		Bugs: map[testgen.BugKind]int{
+			testgen.BugLeak: parityModules / 2, testgen.BugUseAfterFree: parityModules / 2,
+			testgen.BugNullDeref: parityModules / 2,
+		},
 	})
-
-	doc.benchMeta = meta
-	if doc.ColdFleetWarmRemoteNS > 0 {
-		fmt.Printf("cold single %0.1f ms vs cold fleet over warm remote %0.1f ms: %.1fx (gate: >= 5x)\n",
-			float64(doc.ColdSingleNS)/1e6, float64(doc.ColdFleetWarmRemoteNS)/1e6, doc.FleetSpeedup)
+	pdir, ppaths, err := materializeCorpus(root, pp)
+	if err != nil {
+		return nil, err
 	}
+	fresh := freshDirs(pdir)
+	for _, mode := range [][]string{nil, {"-explain"}, {"-validate"}} {
+		warmDir := fresh()
+		single, _, err := shardJSONL("0/1", ppaths, warmDir, mode...)
+		if err != nil {
+			return nil, err
+		}
+		want := strings.Join(single, "\n")
+		for _, n := range doc.ParityShardCounts {
+			for _, pass := range []string{"cold", "warm"} {
+				dir := warmDir
+				if pass == "cold" {
+					dir = fresh()
+				}
+				var merged []string
+				for i := 0; i < n; i++ {
+					lines, _, err := shardJSONL(fmt.Sprintf("%d/%d", i, n), ppaths, dir, mode...)
+					if err != nil {
+						return nil, err
+					}
+					merged = append(merged, lines...)
+				}
+				sort.Strings(merged)
+				ok := strings.Join(merged, "\n") == want
+				if !ok {
+					fmt.Printf("parity FAILED: n=%d %s mode=%v\n", n, pass, mode)
+				}
+				if pass == "cold" {
+					doc.ParityCold = doc.ParityCold && ok
+				} else {
+					doc.ParityWarm = doc.ParityWarm && ok
+				}
+				switch {
+				case len(mode) > 0 && mode[0] == "-explain":
+					doc.ParityExplain = doc.ParityExplain && ok
+				case len(mode) > 0 && mode[0] == "-validate":
+					doc.ParityValidate = doc.ParityValidate && ok
+				}
+			}
+		}
+	}
+	fmt.Printf("parity (n in %v, cold+warm, plain/explain/validate): cold=%v warm=%v explain=%v validate=%v\n",
+		doc.ParityShardCounts, doc.ParityCold, doc.ParityWarm, doc.ParityExplain, doc.ParityValidate)
+
+	// (d) Compression on the E9 corpus shape: gzip framing must at least
+	// halve stored bytes, and the warm replay from those compressed
+	// entries must be byte-identical.
+	cp := testgen.Generate(testgen.Config{
+		Seed: 42, Modules: compressionModules, FuncsPer: 10, Annotate: true,
+		Bugs: map[testgen.BugKind]int{testgen.BugLeak: compressionModules / 2},
+	})
+	cdir, cpaths, err := materializeCorpus(root, cp)
+	if err != nil {
+		return nil, err
+	}
+	ccache := filepath.Join(cdir, "cache")
+	statsPath := filepath.Join(cdir, "stats.json")
+	coldOut, err := runWithStats(cpaths, ccache, statsPath)
+	if err != nil {
+		return nil, err
+	}
+	raw, comp, err := readDiskCompression(statsPath)
+	if err != nil {
+		return nil, err
+	}
+	doc.CompressionRawBytes, doc.CompressionCompressedBytes = raw, comp
+	if comp > 0 {
+		doc.CompressionRatio = float64(raw) / float64(comp)
+	}
+	_, warmOut, err := shardJSONL("0/1", cpaths, ccache)
+	if err != nil {
+		return nil, err
+	}
+	doc.WarmReplayIdentical = coldOut == warmOut
+	fmt.Printf("compression: %d raw -> %d stored bytes (%.2fx), warm replay identical: %v\n",
+		raw, comp, doc.CompressionRatio, doc.WarmReplayIdentical)
+
+	fmt.Printf("cold single %0.1f ms vs cold fleet over warm remote %0.1f ms: %.1fx (gate: >= 5x)\n",
+		float64(doc.ColdSingleNS)/1e6, float64(doc.ColdFleetWarmRemoteNS)/1e6, doc.FleetSpeedup)
 	fmt.Println("paper extension: shard workers coordinating only through a shared cache check million-line corpora with flat ms/KLOC")
-	writeBenchJSON("BENCH_distributed.json", doc)
+	return doc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1851,8 +1665,8 @@ func runDistributedConfig(quick bool) {
 // -validate modes at jobs 1, 4, and 8.
 
 // editloopSpeedupGate is the committed dirty-edit speedup of the
-// function-granular layer over module-granular warm re-checking;
-// scripts/bench.sh enforces it on the full (non-quick) configuration.
+// function-granular layer over module-granular warm re-checking, gated on
+// the full (non-quick) configuration.
 const editloopSpeedupGate = 5.0
 
 // editloopDoc is BENCH_editloop.json.
@@ -1892,18 +1706,9 @@ type editloopDoc struct {
 	Messages       int   `json:"messages"`
 }
 
-func runEditloop() { runEditloopConfig(false) }
-
-// runEditloopConfig is E23; quick selects the reduced CI smoke corpus.
-func runEditloopConfig(quick bool) {
+// runEditloop is E23; quick selects the reduced CI smoke corpus.
+func runEditloop(quick bool) (benchDoc, error) {
 	header("E23", "function-granular incremental checking: the editloop")
-	fail := func(err error) bool {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lclbench: %v\n", err)
-			return true
-		}
-		return false
-	}
 	modules, funcsPer, heavy, reps := 6, 6, 6, 5
 	if quick {
 		modules, funcsPer, heavy, reps = 4, 3, 4, 3
@@ -1921,156 +1726,136 @@ func runEditloopConfig(quick bool) {
 	fmt.Printf("corpus: %d lines, %d modules, %d functions per module (check-heavy)\n",
 		p.Lines, modules, funcsPer)
 
-	fnDir, err := os.MkdirTemp("", "golclint-bench-editloop-fn-")
-	if fail(err) {
-		return
+	// The corpus on disk serves the CLI parity section; the cache stores
+	// live beside it.
+	dir, paths, err := materializeCorpus("", p)
+	if err != nil {
+		return nil, err
 	}
-	defer os.RemoveAll(fnDir)
-	modDir, err := os.MkdirTemp("", "golclint-bench-editloop-mod-")
-	if fail(err) {
-		return
-	}
-	defer os.RemoveAll(modDir)
-	fnStore, err := cache.Open(fnDir)
-	if fail(err) {
-		return
-	}
-	modStore, err := cache.Open(modDir)
-	if fail(err) {
-		return
-	}
+	defer os.RemoveAll(dir)
+	fresh := freshDirs(dir)
 
 	// runPass re-checks all modules against one store; disable selects the
 	// module-granular baseline (the -fn-cache=false path).
 	runPass := func(store cache.Store, disable bool, lib *library.Library,
-		mods map[string]map[string]string, inc cpp.Includer) (float64, *obs.Metrics, int) {
+		mods map[string]map[string]string, inc cpp.Includer) (*obs.Metrics, int) {
 		m := obs.New()
-		opt := core.Options{
+		results := library.CheckModules(mods, lib, core.Options{
 			Includes: inc, Cache: store, Metrics: m, Jobs: 1, DisableFnCache: disable,
-		}
-		var results map[string]*core.Result
-		elapsed, _ := measureRow(func() {
-			results = library.CheckModules(mods, lib, opt)
 		})
 		messages := 0
 		for _, res := range results {
 			messages += len(res.Diags)
 		}
-		return float64(elapsed.Microseconds()) / 1000, m, messages
-	}
-	editName := func(r int) string { return fmt.Sprintf("mod0_calc%d", r%funcsPer) }
-	editedMods := func(r int) (map[string]map[string]string, error) {
-		q, err := p.EditBody("mod0.c", editName(r))
-		if err != nil {
-			return nil, err
-		}
-		out := map[string]map[string]string{}
-		for name := range mods {
-			out[name] = mods[name]
-		}
-		out["mod0.c"] = map[string]string{"mod0.c": q.Files["mod0.c"]}
-		return out, nil
+		return m, messages
 	}
 
 	inc := cpp.MapIncluder(p.Headers)
-	var doc editloopDoc
-	doc.Quick, doc.SpeedupGate, doc.Reps = quick, editloopSpeedupGate, reps
-	doc.Lines, doc.Modules, doc.FuncsPer = p.Lines, modules, funcsPer
-	meta := measure("golclint-bench-editloop/v1", "E23", func() {
-		var m *obs.Metrics
-		doc.ColdMS, _, doc.Messages = runPass(fnStore, false, lib, mods, inc)
-		doc.WarmMS, _, _ = runPass(fnStore, false, lib, mods, inc)
-		runPass(modStore, true, lib, mods, inc) // warm the baseline store
+	doc := &editloopDoc{Quick: quick, SpeedupGate: editloopSpeedupGate, Reps: reps,
+		Lines: p.Lines, Modules: modules, FuncsPer: funcsPer}
+	fnStore, err := cache.Open(fresh())
+	if err != nil {
+		return nil, err
+	}
+	coldPass := doc.record("cold_ms", timeReps(0, 1, func() { _, doc.Messages = runPass(fnStore, false, lib, mods, inc) })[0])
+	warmPass := doc.record("warm_ms", timeReps(1, spreadReps, func() { runPass(fnStore, false, lib, mods, inc) })[0])
+	modStore, err := cache.Open(fresh())
+	if err != nil {
+		return nil, err
+	}
+	runPass(modStore, true, lib, mods, inc) // warm the baseline store
+	doc.ColdMS, doc.WarmMS = coldPass.medianMS(), warmPass.medianMS()
 
-		// Reps distinct one-function edits, each a genuine dirty re-check
-		// against the original-warm stores; fastest-of-reps on both sides.
-		doc.DirtyFnMS, doc.DirtyModMS = 1e18, 1e18
-		for r := 0; r < reps; r++ {
-			em, err := editedMods(r)
-			if fail(err) {
-				return
-			}
-			wall, fm, _ := runPass(fnStore, false, lib, em, inc)
-			if wall < doc.DirtyFnMS {
-				doc.DirtyFnMS = wall
-			}
-			if r == 0 {
-				m = fm
-			}
-			if got := fm.Get(obs.FuncCacheMisses); got != 1 {
-				fmt.Printf("WARNING: edit %s re-checked %d functions, want 1\n", editName(r), got)
-			}
-			wall, _, _ = runPass(modStore, true, lib, em, inc)
-			if wall < doc.DirtyModMS {
-				doc.DirtyModMS = wall
-			}
+	// Distinct one-function edits, each a genuine dirty re-check against
+	// the original-warm stores, fastest of reps on both sides; each side's
+	// warm-up takes the first edit. The sides run one after the other: a
+	// collection between runs would empty the cache's inflater pool. Edit r changes function r%funcsPer of module
+	// r/funcsPer.
+	edits := make([]map[string]map[string]string, reps+1)
+	for r := range edits {
+		mod := r / funcsPer % modules
+		file := fmt.Sprintf("mod%d.c", mod)
+		q, err := p.EditBody(file, fmt.Sprintf("mod%d_calc%d", mod, r%funcsPer))
+		if err != nil {
+			return nil, err
 		}
-		doc.FuncCacheHits = m.Get(obs.FuncCacheHits)
-		doc.FuncCacheMisses = m.Get(obs.FuncCacheMisses)
-		doc.FuncReplayedDiags = m.Get(obs.FuncReplayedDiags)
-		doc.SpeedupDirty = doc.DirtyModMS / doc.DirtyFnMS
-
-		// Interface-annotation edit: conservative, module-wide re-check.
-		q, err := p.EditAnnot("mod0")
-		if fail(err) {
-			return
-		}
-		qhdr := core.CheckSources(q.Headers, core.Options{})
-		qlib := library.Build(qhdr.Program)
-		_, am, _ := runPass(fnStore, false, qlib, mods, cpp.MapIncluder(q.Headers))
-		doc.AnnotEditFuncMisses = am.Get(obs.FuncCacheMisses)
-
-		// CLI transcript parity, warm dirty vs cold, on the edited corpus.
-		dir, paths, err := materializeCorpus(p)
-		if fail(err) {
-			return
-		}
-		defer os.RemoveAll(dir)
-		doc.ParityJobs = []int{1, 4, 8}
-		doc.ParityPlain, doc.ParityExplain, doc.ParityValidate = true, true, true
-		for _, mode := range []string{"plain", "explain", "validate"} {
-			warmDir := filepath.Join(dir, "cache-"+mode)
-			var modeArgs []string
-			if mode != "plain" {
-				modeArgs = []string{"-" + mode}
-			}
-			prime := append(append([]string{"-cache-dir", warmDir}, modeArgs...), paths...)
-			cli.Run(prime, io.Discard, io.Discard)
-			for ji, jobs := range doc.ParityJobs {
-				q, err := p.EditBody("mod0.c", editName(ji))
-				if fail(err) {
-					return
+		edits[r] = maps.Clone(mods)
+		edits[r][file] = map[string]string{file: q.Files[file]}
+	}
+	var first *obs.Metrics
+	dirty := func(store cache.Store, disable bool) func() {
+		r := 0
+		return func() {
+			m, _ := runPass(store, disable, lib, edits[r], inc)
+			if !disable {
+				if first == nil {
+					first = m
 				}
-				if err := os.WriteFile(filepath.Join(dir, "mod0.c"),
-					[]byte(q.Files["mod0.c"]), 0o644); fail(err) {
-					return
-				}
-				js := fmt.Sprintf("%d", jobs)
-				var warm, cold strings.Builder
-				warmArgs := append(append([]string{"-cache-dir", warmDir, "-jobs", js}, modeArgs...), paths...)
-				warmCode := cli.Run(warmArgs, &warm, io.Discard)
-				coldArgs := append(append([]string{"-jobs", js}, modeArgs...), paths...)
-				coldCode := cli.Run(coldArgs, &cold, io.Discard)
-				if warm.String() != cold.String() || warmCode != coldCode {
-					switch mode {
-					case "plain":
-						doc.ParityPlain = false
-					case "explain":
-						doc.ParityExplain = false
-					case "validate":
-						doc.ParityValidate = false
-					}
-					fmt.Printf("PARITY MISMATCH: %s at jobs %d\n", mode, jobs)
+				if got := m.Get(obs.FuncCacheMisses); got != 1 {
+					fmt.Printf("WARNING: edit %d re-checked %d functions, want 1\n", r, got)
 				}
 			}
-			// Restore the original module for the next mode's prime run.
-			if err := os.WriteFile(filepath.Join(dir, "mod0.c"),
-				[]byte(p.Files["mod0.c"]), 0o644); fail(err) {
-				return
+			r++
+		}
+	}
+	doc.DirtyFnMS = float64(doc.record("dirty_fn_ms", timeReps(1, reps, dirty(fnStore, false))[0]).MinNS) / 1e6
+	doc.DirtyModMS = float64(doc.record("dirty_mod_ms", timeReps(1, reps, dirty(modStore, true))[0]).MinNS) / 1e6
+	doc.SpeedupDirty = doc.DirtyModMS / doc.DirtyFnMS
+	doc.FuncCacheHits = first.Get(obs.FuncCacheHits)
+	doc.FuncCacheMisses = first.Get(obs.FuncCacheMisses)
+	doc.FuncReplayedDiags = first.Get(obs.FuncReplayedDiags)
+
+	// Interface-annotation edit: conservative, module-wide re-check.
+	q, err := p.EditAnnot("mod0")
+	if err != nil {
+		return nil, err
+	}
+	qhdr := core.CheckSources(q.Headers, core.Options{})
+	am, _ := runPass(fnStore, false, library.Build(qhdr.Program), mods, cpp.MapIncluder(q.Headers))
+	doc.AnnotEditFuncMisses = am.Get(obs.FuncCacheMisses)
+
+	// CLI transcript parity, warm dirty vs cold, on the edited corpus.
+	doc.ParityJobs = []int{1, 4, 8}
+	doc.ParityPlain, doc.ParityExplain, doc.ParityValidate = true, true, true
+	for _, mode := range []string{"plain", "explain", "validate"} {
+		warmDir := fresh()
+		var modeArgs []string
+		if mode != "plain" {
+			modeArgs = []string{"-" + mode}
+		}
+		prime := append(append([]string{"-cache-dir", warmDir}, modeArgs...), paths...)
+		cli.Run(prime, io.Discard, io.Discard)
+		for ji, jobs := range doc.ParityJobs {
+			q, err := p.EditBody("mod0.c", fmt.Sprintf("mod0_calc%d", ji%funcsPer))
+			if err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(filepath.Join(dir, "mod0.c"), []byte(q.Files["mod0.c"]), 0o644); err != nil {
+				return nil, err
+			}
+			js := fmt.Sprintf("%d", jobs)
+			var warm, cold strings.Builder
+			warmArgs := append(append([]string{"-cache-dir", warmDir, "-jobs", js}, modeArgs...), paths...)
+			warmCode := cli.Run(warmArgs, &warm, io.Discard)
+			coldArgs := append(append([]string{"-jobs", js}, modeArgs...), paths...)
+			coldCode := cli.Run(coldArgs, &cold, io.Discard)
+			if warm.String() != cold.String() || warmCode != coldCode {
+				switch mode {
+				case "plain":
+					doc.ParityPlain = false
+				case "explain":
+					doc.ParityExplain = false
+				case "validate":
+					doc.ParityValidate = false
+				}
+				fmt.Printf("PARITY MISMATCH: %s at jobs %d\n", mode, jobs)
 			}
 		}
-	})
-	doc.benchMeta = meta
+		// Restore the original module for the next mode's prime run.
+		if err := os.WriteFile(filepath.Join(dir, "mod0.c"), []byte(p.Files["mod0.c"]), 0o644); err != nil {
+			return nil, err
+		}
+	}
 
 	fmt.Printf("%8s %10s\n", "pass", "wall(ms)")
 	fmt.Printf("%8s %10.1f\n", "cold", doc.ColdMS)
@@ -2085,5 +1870,5 @@ func runEditloopConfig(quick bool) {
 	fmt.Printf("transcript parity warm-vs-cold at jobs %v: plain=%v explain=%v validate=%v\n",
 		doc.ParityJobs, doc.ParityPlain, doc.ParityExplain, doc.ParityValidate)
 	fmt.Println("paper extension: an edit re-checks one function, not one module — the editloop is sub-frontend-cost")
-	writeBenchJSON("BENCH_editloop.json", doc)
+	return doc, nil
 }

@@ -2,8 +2,7 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
 	"testing"
 )
 
@@ -14,505 +13,104 @@ func TestExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment drivers are slow")
 	}
+	outDir = t.TempDir()
+	defer func() { outDir = "." }()
 	for _, e := range experiments {
-		if e.name == "scaling" || e.name == "modular" || e.name == "economy" ||
-			e.name == "parallel" || e.name == "state" || e.name == "frontend" ||
-			e.name == "staticvsdynamic" {
+		switch e.name {
+		case "scaling", "modular", "economy", "parallel", "state", "frontend", "staticvsdynamic", "distributed":
 			continue // minutes-scale corpora; exercised by benchmarks or the emission/smoke tests
 		}
-		e := e
 		t.Run(e.name, func(t *testing.T) {
-			e.run()
+			if _, err := runExperiment(e, false); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
 // The static-vs-dynamic driver (E13) is interpreter-bound and minutes-scale
 // at its full configuration on small machines, so TestExperimentsRun skips
-// it; this reduced corpus keeps the driver exercised by `go test`.
+// it; its quick corpus keeps E13 exercised by `go test`.
 func TestStaticVsDynamicSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the concrete interpreter")
 	}
-	runStaticVsDynamicConfig(2, 2, 1, []int{0, 100})
+	if _, err := runStaticVsDynamic(true); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// The perf experiments must emit valid, populated BENCH_*.json companions.
-func TestBenchJSONEmission(t *testing.T) {
-	old := outDir
+// testEmission runs the named BENCH-emitting experiments on their quick
+// configurations, as `lclbench -quick` does, and checks each document: it
+// decodes under its schema, carries the host stamp and a measured spread
+// for every timed figure, and passes every gate row but the timing ones,
+// whose wall-time ratios depend on the host. It returns the documents.
+func testEmission(t *testing.T, names ...string) []map[string]any {
+	if testing.Short() {
+		t.Skip("runs the BENCH experiments")
+	}
 	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runScalingSizes([]int{2, 4})
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_scaling.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sd scalingDoc
-	if err := json.Unmarshal(b, &sd); err != nil {
-		t.Fatalf("BENCH_scaling.json invalid: %v", err)
-	}
-	if sd.Schema != "golclint-bench-scaling/v1" || sd.Experiment != "E9" {
-		t.Errorf("meta = %q %q", sd.Schema, sd.Experiment)
-	}
-	if sd.ElapsedNS <= 0 || sd.AllocBytes == 0 || sd.PeakHeapBytes == 0 {
-		t.Errorf("perf stamps missing: %+v", sd.benchMeta)
-	}
-	if len(sd.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(sd.Rows))
-	}
-	for _, r := range sd.Rows {
-		if r.Lines <= 0 || r.CheckMS <= 0 || r.MSPerKLOC <= 0 {
-			t.Errorf("row not populated: %+v", r)
+	defer func() { outDir = "." }()
+	var docs []map[string]any
+	for _, name := range names {
+		var e experiment
+		for _, x := range experiments {
+			if x.name == name {
+				e = x
+			}
 		}
-		if r.Counters["functions_checked"] <= 0 || r.PhasesNS["check"] < 0 {
-			t.Errorf("row metrics missing: %+v", r)
+		doc, err := runExperiment(e, true)
+		if err != nil || doc == nil {
+			t.Fatalf("%s: document %v, err %v", name, doc, err)
 		}
-		if r.AllocBytes == 0 {
-			t.Errorf("row alloc_bytes missing: %+v", r)
+		b, _ := json.Marshal(doc)
+		var meta benchMeta
+		if err := json.Unmarshal(b, &meta); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if meta.Schema != "golclint-bench-"+name+"/v1" || meta.Experiment != e.id {
+			t.Errorf("%s: meta = %q %q", name, meta.Schema, meta.Experiment)
+		}
+		if meta.ElapsedNS <= 0 || meta.AllocBytes == 0 || meta.PeakHeapBytes == 0 ||
+			meta.NumCPU <= 0 || meta.GOMAXPROCS <= 0 || meta.GoVersion == "" {
+			t.Errorf("%s: stamps missing: %+v", name, meta)
+		}
+		if len(meta.Spread) == 0 {
+			t.Errorf("%s: no spread recorded", name)
+		}
+		for field, s := range meta.Spread {
+			if s.Reps < 1 || s.MinNS <= 0 || s.MedianNS < s.MinNS || s.MADNS < 0 {
+				t.Errorf("%s: spread of %s not measured: %+v", name, field, s)
+			}
+		}
+		for _, err := range violations(doc, false) {
+			t.Errorf("%s: %v", name, err)
+		}
+		docs = append(docs, doc)
 	}
-	if sd.Rows[1].Lines <= sd.Rows[0].Lines {
-		t.Errorf("rows not increasing in size: %d then %d", sd.Rows[0].Lines, sd.Rows[1].Lines)
-	}
-
-	runModularModules(8)
-	b, err = os.ReadFile(filepath.Join(outDir, "BENCH_modular.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var md modularDoc
-	if err := json.Unmarshal(b, &md); err != nil {
-		t.Fatalf("BENCH_modular.json invalid: %v", err)
-	}
-	if md.Schema != "golclint-bench-modular/v1" || md.Experiment != "E10" {
-		t.Errorf("meta = %q %q", md.Schema, md.Experiment)
-	}
-	if md.WholeNS <= 0 || md.ModuleNS <= 0 || md.Speedup <= 0 || md.LibraryEntries <= 0 {
-		t.Errorf("modular doc not populated: %+v", md)
-	}
-	if md.ModuleCounters["library_entries_loaded"] != int64(md.LibraryEntries) {
-		t.Errorf("library_entries_loaded = %d, want %d",
-			md.ModuleCounters["library_entries_loaded"], md.LibraryEntries)
-	}
-	if md.WholeAllocBytes == 0 || md.ModuleAllocBytes == 0 {
-		t.Errorf("modular alloc stamps missing: whole=%d module=%d",
-			md.WholeAllocBytes, md.ModuleAllocBytes)
-	}
+	return docs
 }
 
-// The parallel-speedup experiment (E15) emits a valid BENCH_parallel.json:
-// a jobs sweep whose rows are populated, whose message counts agree across
-// worker counts (the determinism contract restated as data), and whose
-// jobs column is the expected power-of-two ladder. Speedup magnitudes are
-// NOT asserted — they depend on the host's core count (a 1-CPU machine
-// legitimately measures ~1x).
+func TestBenchJSONEmission(t *testing.T)            { testEmission(t, "scaling", "modular") }
+func TestBenchStateJSONEmission(t *testing.T)       { testEmission(t, "state") }
+func TestBenchFrontendJSONEmission(t *testing.T)    { testEmission(t, "frontend") }
+func TestBenchProvenanceJSONEmission(t *testing.T)  { testEmission(t, "provenance") }
+func TestBenchValidateJSONEmission(t *testing.T)    { testEmission(t, "validate") }
+func TestBenchServeJSONEmission(t *testing.T)       { testEmission(t, "serve") }
+func TestBenchDistributedJSONEmission(t *testing.T) { testEmission(t, "distributed") }
+func TestBenchEditloopJSONEmission(t *testing.T)    { testEmission(t, "editloop") }
+
+// E15's ladder doubles from one worker up to the -jobs ceiling.
 func TestBenchParallelJSONEmission(t *testing.T) {
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runParallelConfig(8, 6, 4)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_parallel.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pd parallelDoc
-	if err := json.Unmarshal(b, &pd); err != nil {
-		t.Fatalf("BENCH_parallel.json invalid: %v", err)
-	}
-	if pd.Schema != "golclint-bench-parallel/v1" || pd.Experiment != "E15" {
-		t.Errorf("meta = %q %q", pd.Schema, pd.Experiment)
-	}
-	if pd.Lines <= 0 || pd.Modules != 8 || pd.Functions <= 0 || pd.MaxJobs != 4 {
-		t.Errorf("corpus stamps missing: %+v", pd)
-	}
-	wantJobs := []int{1, 2, 4}
-	if len(pd.Rows) != len(wantJobs) {
-		t.Fatalf("rows = %d, want %d", len(pd.Rows), len(wantJobs))
-	}
-	for i, r := range pd.Rows {
-		if r.Jobs != wantJobs[i] {
-			t.Errorf("row %d jobs = %d, want %d", i, r.Jobs, wantJobs[i])
+	maxJobs = 4
+	defer func() { maxJobs = 0 }()
+	for _, doc := range testEmission(t, "parallel") {
+		var jobs []any
+		for _, row := range doc["rows"].([]any) {
+			jobs = append(jobs, row.(map[string]any)["jobs"])
 		}
-		if r.WallMS <= 0 || r.CheckWallMS <= 0 || r.CheckCPUMS <= 0 || r.AllocBytes == 0 {
-			t.Errorf("row %d not populated: %+v", i, r)
+		if got := fmt.Sprint(jobs); got != "[1 2 4]" {
+			t.Errorf("jobs ladder = %s, want [1 2 4]", got)
 		}
-		if r.Speedup <= 0 || r.CheckSpeedup <= 0 {
-			t.Errorf("row %d speedups missing: %+v", i, r)
-		}
-		if r.Messages != pd.Rows[0].Messages {
-			t.Errorf("row %d messages = %d, differs from jobs=1 row's %d (determinism broken)",
-				i, r.Messages, pd.Rows[0].Messages)
-		}
-	}
-	if pd.Rows[0].Messages == 0 {
-		t.Error("corpus produced no messages; sweep is vacuous")
-	}
-}
-
-// The incremental experiment (E16) emits a valid BENCH_incremental.json:
-// a cold pass that misses for every module, a warm pass that hits for every
-// module, and a dirty pass that re-checks exactly the edited module — all
-// three reporting identical message totals. Speedup magnitudes are asserted
-// only loosely (> 1x); the committed full-size run is where the >= 5x
-// acceptance figure lives.
-func TestBenchIncrementalJSONEmission(t *testing.T) {
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	const modules = 8
-	runIncrementalModules(modules)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_incremental.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var id incrementalDoc
-	if err := json.Unmarshal(b, &id); err != nil {
-		t.Fatalf("BENCH_incremental.json invalid: %v", err)
-	}
-	if id.Schema != "golclint-bench-incremental/v1" || id.Experiment != "E16" {
-		t.Errorf("meta = %q %q", id.Schema, id.Experiment)
-	}
-	if id.Modules != modules || id.Lines <= 0 || id.Jobs != 1 {
-		t.Errorf("corpus stamps missing: %+v", id)
-	}
-	wantPasses := []string{"cold", "warm", "dirty"}
-	if len(id.Rows) != len(wantPasses) {
-		t.Fatalf("rows = %d, want %d", len(id.Rows), len(wantPasses))
-	}
-	for i, r := range id.Rows {
-		if r.Pass != wantPasses[i] {
-			t.Errorf("row %d pass = %q, want %q", i, r.Pass, wantPasses[i])
-		}
-		if r.WallMS <= 0 || r.AllocBytes == 0 || r.CacheBytes <= 0 {
-			t.Errorf("row %q not populated: %+v", r.Pass, r)
-		}
-		if r.Messages != id.Rows[0].Messages {
-			t.Errorf("pass %q messages = %d, differs from cold's %d (replay broken)",
-				r.Pass, r.Messages, id.Rows[0].Messages)
-		}
-	}
-	if id.Rows[0].Messages == 0 {
-		t.Error("corpus produced no messages; experiment is vacuous")
-	}
-	cold, warm, dirty := id.Rows[0], id.Rows[1], id.Rows[2]
-	if cold.CacheHits != 0 || cold.CacheMisses != modules {
-		t.Errorf("cold pass hits/misses = %d/%d, want 0/%d", cold.CacheHits, cold.CacheMisses, modules)
-	}
-	if warm.CacheHits != modules || warm.CacheMisses != 0 {
-		t.Errorf("warm pass hits/misses = %d/%d, want %d/0", warm.CacheHits, warm.CacheMisses, modules)
-	}
-	if dirty.CacheHits != modules-1 || dirty.CacheMisses != 1 {
-		t.Errorf("dirty pass hits/misses = %d/%d, want %d/1", dirty.CacheHits, dirty.CacheMisses, modules-1)
-	}
-	if id.SpeedupWarm <= 1 || id.SpeedupDirty <= 1 {
-		t.Errorf("speedups = %.2f / %.2f, want > 1", id.SpeedupWarm, id.SpeedupDirty)
-	}
-}
-
-// The dense-store experiment (E17) emits a valid BENCH_state.json whose
-// per-pass figures are populated and whose measured allocs/op respects the
-// committed budget — the same gate scripts/bench.sh applies, asserted here
-// so a regression fails `go test` too, not only the smoke script.
-func TestBenchStateJSONEmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E17 parses the full E9 corpus")
-	}
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runStateIters(2)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_state.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sd stateDoc
-	if err := json.Unmarshal(b, &sd); err != nil {
-		t.Fatalf("BENCH_state.json invalid: %v", err)
-	}
-	if sd.Schema != "golclint-bench-state/v1" || sd.Experiment != "E17" {
-		t.Errorf("meta = %q %q", sd.Schema, sd.Experiment)
-	}
-	if sd.Lines <= 0 || sd.Modules != 32 || sd.Iters != 2 {
-		t.Errorf("corpus stamps missing: %+v", sd)
-	}
-	if sd.CheckNSPerOp <= 0 || sd.AllocBytesPerOp == 0 || sd.AllocsPerOp == 0 {
-		t.Errorf("per-op figures missing: %+v", sd)
-	}
-	if sd.StoreClones <= 0 || sd.RefStatesCopied <= 0 {
-		t.Errorf("cow counters missing: clones=%d copied=%d", sd.StoreClones, sd.RefStatesCopied)
-	}
-	if sd.BudgetAllocsPerOp != stateBudgetAllocsPerOp || sd.BaselineAllocsPerOp != stateBaselineAllocsPerOp {
-		t.Errorf("committed constants not stamped: %+v", sd)
-	}
-	if float64(sd.AllocsPerOp) > float64(sd.BudgetAllocsPerOp)*1.2 {
-		t.Errorf("check-phase allocs/op regressed: %d > 1.2 * %d budget",
-			sd.AllocsPerOp, sd.BudgetAllocsPerOp)
-	}
-	// The acceptance targets: >= 2x fewer ns and >= 5x fewer allocations
-	// than the retained map-store baseline. ns/op is machine dependent, so
-	// only the allocation claim is asserted (the committed full run records
-	// both).
-	if sd.AllocsPerOp*5 > sd.BaselineAllocsPerOp {
-		t.Errorf("allocs/op %d is not >= 5x under the %d baseline",
-			sd.AllocsPerOp, sd.BaselineAllocsPerOp)
-	}
-}
-
-// The frontend experiment (E18) emits a valid BENCH_frontend.json whose
-// per-pass figures are populated and whose measured allocs/op respects the
-// committed budget — the same gate scripts/bench.sh applies, asserted here
-// so a regression fails `go test` too, not only the smoke script. Wall-time
-// ratios are machine dependent (a 1-CPU host legitimately measures ~1x at
-// jobs=4), so only the allocation claim is asserted.
-func TestBenchFrontendJSONEmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E18 preprocesses and parses the full E9 corpus")
-	}
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runFrontendIters(2)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_frontend.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fd frontendDoc
-	if err := json.Unmarshal(b, &fd); err != nil {
-		t.Fatalf("BENCH_frontend.json invalid: %v", err)
-	}
-	if fd.Schema != "golclint-bench-frontend/v1" || fd.Experiment != "E18" {
-		t.Errorf("meta = %q %q", fd.Schema, fd.Experiment)
-	}
-	if fd.Lines <= 0 || fd.Modules != 32 || fd.Iters != 2 {
-		t.Errorf("corpus stamps missing: %+v", fd)
-	}
-	if fd.FrontendNSPerOp <= 0 || fd.AllocBytesPerOp == 0 || fd.AllocsPerOp == 0 {
-		t.Errorf("per-op figures missing: %+v", fd)
-	}
-	if fd.Jobs4NSPerOp <= 0 {
-		t.Errorf("jobs=4 figure missing: %+v", fd)
-	}
-	if fd.PreprocessWallNS <= 0 || fd.ParseWallNS <= 0 {
-		t.Errorf("phase wall counters missing: preprocess=%d parse=%d",
-			fd.PreprocessWallNS, fd.ParseWallNS)
-	}
-	if fd.BudgetAllocsPerOp != frontendBudgetAllocsPerOp || fd.BaselineAllocsPerOp != frontendBaselineAllocsPerOp {
-		t.Errorf("committed constants not stamped: %+v", fd)
-	}
-	if float64(fd.AllocsPerOp) > float64(fd.BudgetAllocsPerOp)*1.2 {
-		t.Errorf("frontend allocs/op regressed: %d > 1.2 * %d budget",
-			fd.AllocsPerOp, fd.BudgetAllocsPerOp)
-	}
-	// The acceptance target: >= 5x fewer frontend allocations than the
-	// per-file copying baseline. Wall speedup at jobs>=4 depends on host
-	// cores, so the committed full run records it instead.
-	if fd.AllocsPerOp*5 > fd.BaselineAllocsPerOp {
-		t.Errorf("allocs/op %d is not >= 5x under the %d baseline",
-			fd.AllocsPerOp, fd.BaselineAllocsPerOp)
-	}
-}
-
-// The provenance experiment (E19) emits a valid BENCH_provenance.json whose
-// three-way comparison (plain entry point / recorder off / recorder on) is
-// populated and whose witness coverage is total — the same invariants
-// scripts/bench.sh gates on, asserted here so a regression fails `go test`
-// too, not only the smoke script. Wall overhead is machine dependent, so the
-// percentage gates live in the smoke script alone.
-func TestBenchProvenanceJSONEmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E19 parses the full E17 corpus")
-	}
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runProvenanceIters(2)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_provenance.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pd provenanceDoc
-	if err := json.Unmarshal(b, &pd); err != nil {
-		t.Fatalf("BENCH_provenance.json invalid: %v", err)
-	}
-	if pd.Schema != "golclint-bench-provenance/v1" || pd.Experiment != "E19" {
-		t.Errorf("meta = %q %q", pd.Schema, pd.Experiment)
-	}
-	if pd.Lines <= 0 || pd.Modules != 32 || pd.Iters != 2 {
-		t.Errorf("corpus stamps missing: %+v", pd)
-	}
-	if pd.BaselineCheckNSPerOp <= 0 || pd.OffCheckNSPerOp <= 0 || pd.OnCheckNSPerOp <= 0 {
-		t.Errorf("per-mode wall figures missing: %+v", pd)
-	}
-	if pd.BaselineAllocsPerOp == 0 || pd.OffAllocsPerOp == 0 || pd.OnAllocsPerOp == 0 {
-		t.Errorf("per-mode alloc figures missing: %+v", pd)
-	}
-	// The hooks contract: provenance off costs at most a handful of extra
-	// allocations per whole-corpus pass (the gate allows max(50, 0.5%)).
-	if extra := int64(pd.OffAllocsPerOp) - int64(pd.BaselineAllocsPerOp); extra > 50 {
-		t.Errorf("provenance-off adds %d allocs/op over baseline, want <= 50", extra)
-	}
-	// Recording on must actually record (witness storage allocates).
-	if pd.OnAllocsPerOp <= pd.OffAllocsPerOp {
-		t.Errorf("recording pass allocs/op %d not above off pass %d — recorder inert?",
-			pd.OnAllocsPerOp, pd.OffAllocsPerOp)
-	}
-	if pd.BudgetAllocsPerOp != stateBudgetAllocsPerOp {
-		t.Errorf("committed budget not stamped: %+v", pd)
-	}
-	if pd.Diags == 0 || pd.Witnessed != pd.Diags {
-		t.Errorf("witness coverage = %d/%d, want total and non-zero", pd.Witnessed, pd.Diags)
-	}
-}
-
-// The counterexample-validation experiment (E20) emits a valid
-// BENCH_validate.json whose numbers hold the documented contract: every
-// seeded bug's diagnostic validates `confirmed`, the confirmed rate meets
-// the 0.8 gate, and a whole-corpus validation pass fits the committed wall
-// budget.
-func TestBenchValidateJSONEmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E20 checks and validates a seeded corpus")
-	}
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runValidateIters(2)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_validate.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vd validateDoc
-	if err := json.Unmarshal(b, &vd); err != nil {
-		t.Fatalf("BENCH_validate.json invalid: %v", err)
-	}
-	if vd.Schema != "golclint-bench-validate/v1" || vd.Experiment != "E20" {
-		t.Errorf("meta = %q %q", vd.Schema, vd.Experiment)
-	}
-	if vd.Lines <= 0 || vd.Modules != 24 || vd.Iters != 2 {
-		t.Errorf("corpus stamps missing: %+v", vd)
-	}
-	if vd.SeededTotal != 24 || vd.SeededConfirmed != vd.SeededTotal {
-		t.Errorf("seeded confirmation = %d/%d, want 24/24", vd.SeededConfirmed, vd.SeededTotal)
-	}
-	if vd.Diags == 0 || vd.Confirmed == 0 || vd.ConfirmedRate < 0.8 {
-		t.Errorf("confirmed rate %f (%d/%d diags) below the documented gate",
-			vd.ConfirmedRate, vd.Confirmed, vd.Diags)
-	}
-	if vd.ValidateNSPerOp <= 0 || vd.NSPerDiag <= 0 {
-		t.Errorf("cost figures missing: %+v", vd)
-	}
-	if vd.BudgetNSPerOp != validateBudgetNSPerOp {
-		t.Errorf("committed budget not stamped: %+v", vd)
-	}
-	// The budget must hold with an order of magnitude of headroom, so the
-	// bench.sh gate only trips on a genuine search-space blowup.
-	if vd.ValidateNSPerOp*10 > vd.BudgetNSPerOp {
-		t.Errorf("validation pass %d ns/op within 10x of the %d ns/op budget",
-			vd.ValidateNSPerOp, vd.BudgetNSPerOp)
-	}
-}
-
-func TestBenchServeJSONEmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E21 runs a live server over a generated corpus")
-	}
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runServeConfig(4, 4, 12, 2)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sd serveDoc
-	if err := json.Unmarshal(b, &sd); err != nil {
-		t.Fatalf("BENCH_serve.json invalid: %v", err)
-	}
-	if sd.Schema != "golclint-bench-serve/v1" || sd.Experiment != "E21" {
-		t.Errorf("meta = %q %q", sd.Schema, sd.Experiment)
-	}
-	if sd.Lines <= 0 || sd.Modules != 4 || sd.WarmReqs != 12 || sd.Clients != 2 {
-		t.Errorf("corpus stamps missing: %+v", sd)
-	}
-	if sd.ColdCLINS <= 0 || sd.ColdServerNS <= 0 {
-		t.Errorf("cold figures missing: %+v", sd)
-	}
-	if sd.WarmP50NS <= 0 || sd.WarmP99NS < sd.WarmP50NS {
-		t.Errorf("warm percentiles inconsistent: p50 %d, p99 %d", sd.WarmP50NS, sd.WarmP99NS)
-	}
-	if sd.SpeedupWarm <= 0 {
-		t.Errorf("speedup not computed: %+v", sd)
-	}
-	// Warm requests after the first replay the response memo, so most of
-	// the warm set must be memo hits and the resident cache populated.
-	if sd.MemoHits == 0 {
-		t.Error("no memo replays across the warm request set")
-	}
-	if sd.CacheEntries == 0 || sd.CacheBytes <= 0 {
-		t.Errorf("resident cache empty after the run: %+v", sd)
-	}
-	if sd.BurstReqs != 2*2*sd.Modules || sd.ThroughputRPS <= 0 {
-		t.Errorf("burst figures inconsistent: %+v", sd)
-	}
-}
-
-// The editloop experiment (E23) emits a valid BENCH_editloop.json whose
-// machine-independent half holds: one-function edits re-check exactly one
-// function, replay is non-vacuous, annotation edits invalidate module-wide,
-// and warm dirty transcripts match cold ones byte for byte in every mode.
-// The speedup gate itself is timing-dependent and asserted by bench.sh on
-// full runs only.
-func TestBenchEditloopJSONEmission(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E23 checks a generated corpus across several cache stores")
-	}
-	old := outDir
-	outDir = t.TempDir()
-	defer func() { outDir = old }()
-
-	runEditloopConfig(true)
-	b, err := os.ReadFile(filepath.Join(outDir, "BENCH_editloop.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ed editloopDoc
-	if err := json.Unmarshal(b, &ed); err != nil {
-		t.Fatalf("BENCH_editloop.json invalid: %v", err)
-	}
-	if ed.Schema != "golclint-bench-editloop/v1" || ed.Experiment != "E23" {
-		t.Errorf("meta = %q %q", ed.Schema, ed.Experiment)
-	}
-	if !ed.Quick || ed.Lines <= 0 || ed.Modules <= 0 || ed.FuncsPer <= 0 || ed.Reps <= 0 {
-		t.Errorf("corpus stamps missing: %+v", ed)
-	}
-	if ed.ColdMS <= 0 || ed.WarmMS <= 0 || ed.DirtyFnMS <= 0 || ed.DirtyModMS <= 0 {
-		t.Errorf("wall figures missing: %+v", ed)
-	}
-	if ed.SpeedupDirty <= 0 || ed.SpeedupGate != editloopSpeedupGate {
-		t.Errorf("speedup figures inconsistent: %+v", ed)
-	}
-	if ed.FuncCacheMisses != 1 {
-		t.Errorf("one-function edit re-checked %d functions, want 1", ed.FuncCacheMisses)
-	}
-	if ed.FuncCacheHits == 0 {
-		t.Error("no functions replayed from cache; the experiment is vacuous")
-	}
-	if ed.AnnotEditFuncMisses <= 1 {
-		t.Errorf("annotation edit re-checked %d functions; want the whole module",
-			ed.AnnotEditFuncMisses)
-	}
-	if len(ed.ParityJobs) == 0 || !ed.ParityPlain || !ed.ParityExplain || !ed.ParityValidate {
-		t.Errorf("warm-vs-cold transcript parity failed: %+v", ed)
-	}
-	if ed.Messages <= 0 {
-		t.Errorf("corpus produced no diagnostics: %+v", ed)
 	}
 }
