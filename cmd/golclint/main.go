@@ -19,7 +19,9 @@
 //	                           byte-identical at every worker count)
 //	-stats                     print summary statistics
 //	-stats-json file           write run metrics + message counts as JSON
-//	-trace file                write per-function JSONL trace events
+//	-trace file                write JSONL after the run: one line per
+//	                           function checked, then one per diagnostic
+//	                           under -explain or -validate
 //	-cpuprofile file           write a pprof CPU profile
 //	-memprofile file           write a pprof heap profile
 //	-max n                     cap the number of reported messages

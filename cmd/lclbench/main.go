@@ -1245,7 +1245,8 @@ func runServe(quick bool) (benchDoc, error) {
 	doc.BurstReqs = clients * 2 * len(perMod)
 	doc.ThroughputRPS = float64(doc.BurstReqs) / (float64(burst.MedianNS) / 1e9)
 	doc.Coalesced, doc.MemoHits = st.Coalesced, st.MemoHits
-	doc.CacheEntries, doc.CacheBytes = st.CacheMem.Entries, st.CacheMem.Bytes
+	mem := st.CacheStores["mem"]
+	doc.CacheEntries, doc.CacheBytes = mem.Entries, mem.Bytes
 
 	fmt.Printf("corpus: %d lines, %d modules\n", p.Lines, modules)
 	fmt.Printf("%-24s %12.1f ms\n", "cold CLI (best of 3)", float64(doc.ColdCLINS)/1e6)

@@ -57,8 +57,8 @@ type Store interface {
 // call Open. A nil *Cache is valid and behaves as an always-miss,
 // discard-writes cache, so callers can thread it unconditionally.
 //
-// Entries are stored framed (compressed and checksummed, see frame.go);
-// entries written before framing existed still read back. When a byte
+// Entries are stored framed (compressed and checksummed, see frame.go); a
+// file that is not a valid frame reads as a miss. When a byte
 // bound is set (SetMaxBytes / -cache-max-bytes), Put evicts
 // least-recently-written entries until the directory fits — entries are
 // content-addressed and reproducible, so eviction affects warmth only.
@@ -353,15 +353,12 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 		return nil, false
 	}
 	stored := int64(len(b))
-	if isFramed(b) {
-		raw, ok := deframeBlob(b)
-		if !ok {
-			c.misses.Add(1)
-			return nil, false
-		}
-		b = raw
+	raw, ok := deframeBlob(b)
+	if !ok {
+		c.misses.Add(1)
+		return nil, false
 	}
-	e, ok := decodeEntry(key, b)
+	e, ok := decodeEntry(key, raw)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Entries written before compression existed are bare JSON on disk; they
-// must still read back as hits.
-func TestLegacyUnframedEntriesStillDecode(t *testing.T) {
+// Every stored entry is framed, so a bare-JSON file under a key (the
+// format from before framing) is not an entry: it reads as a miss.
+func TestBareJSONEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
 	if err != nil {
@@ -29,12 +29,11 @@ func TestLegacyUnframedEntriesStillDecode(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(key)
-	if !ok {
-		t.Fatal("legacy unframed entry missed")
+	if got, ok := c.Get(key); ok {
+		t.Fatalf("bare-JSON entry hit: %+v", got)
 	}
-	if got.Suppressed != testEntry().Suppressed {
-		t.Errorf("legacy entry decoded wrong: %+v", got)
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 {
+		t.Errorf("hits/misses = %d/%d, want 0/1", s.Hits, s.Misses)
 	}
 }
 

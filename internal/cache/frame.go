@@ -119,10 +119,3 @@ func deframeBlob(b []byte) (raw []byte, ok bool) {
 	}
 	return raw, true
 }
-
-// isFramed reports whether b begins with the frame magic (used to keep
-// reading entries written before compression existed: those decode as bare
-// JSON).
-func isFramed(b []byte) bool {
-	return len(b) >= len(frameMagic) && string(b[:len(frameMagic)]) == frameMagic
-}

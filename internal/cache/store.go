@@ -137,10 +137,6 @@ type StoreStats struct {
 	CompressedBytes int64 `json:"compressed_bytes,omitempty"`
 }
 
-// MemStats is the historical name for StoreStats, kept for callers that
-// predate the multi-backend store.
-type MemStats = StoreStats
-
 // Stats snapshots the store's counters (zero values on a nil store).
 func (m *MemStore) Stats() StoreStats {
 	if m == nil {

@@ -104,7 +104,7 @@ func TestMemStoreNilSafe(t *testing.T) {
 	if n, err := m.Put("k", testEntry()); n != 0 || err != nil {
 		t.Errorf("nil Put = %d, %v", n, err)
 	}
-	if s := m.Stats(); s != (MemStats{}) {
+	if s := m.Stats(); s != (StoreStats{}) {
 		t.Errorf("nil Stats = %+v", s)
 	}
 	if m.Len() != 0 {

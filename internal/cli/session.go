@@ -92,10 +92,6 @@ func (s *Session) Store() cache.Store {
 	}
 }
 
-// MemStats snapshots the resident store's counters (zero when the session
-// has no memory layer).
-func (s *Session) MemStats() cache.MemStats { return s.mem.Stats() }
-
 // LayerStats snapshots every configured store layer's counters, keyed by
 // layer name ("mem", "disk", "remote") — the shape -stats-json and the
 // server /stats endpoints surface.
@@ -167,10 +163,11 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 	if metrics == nil && (cfg.Stats || cfg.StatsJSON != "" || cfg.TracePath != "" || cfg.TraceOut != "" || cfg.HotN > 0) {
 		metrics = obs.New()
 	}
-	if cfg.TraceOut != "" || cfg.HotN > 0 {
+	if cfg.TraceOut != "" || cfg.HotN > 0 || cfg.TracePath != "" {
 		metrics.EnableSpans()
 		metrics.BeginRunSpan("golclint")
 	}
+	var traceFile *os.File
 	if cfg.TracePath != "" {
 		tf, err := os.Create(cfg.TracePath)
 		if err != nil {
@@ -178,13 +175,7 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 			return 2, nil
 		}
 		defer tf.Close()
-		tracer := obs.NewJSONLTracer(tf)
-		metrics.SetTracer(tracer)
-		defer func() {
-			if err := tracer.Err(); err != nil {
-				fmt.Fprintf(stderr, "golclint: trace: %v\n", err)
-			}
-		}()
+		traceFile = tf
 	}
 	if cfg.CPUProfile != "" {
 		pf, err := os.Create(cfg.CPUProfile)
@@ -215,9 +206,7 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 		}()
 	}
 
-	// -validate needs witness paths to derive harnesses from, so it implies
-	// provenance recording even without -explain.
-	opt := core.Options{Flags: cfg.Flags, Includes: inc, Metrics: metrics, Jobs: cfg.Jobs, Explain: cfg.Explain || cfg.Validate}
+	opt := core.Options{Flags: cfg.Flags, Includes: inc, Metrics: metrics, Jobs: cfg.Jobs, Explain: cfg.Explain}
 	opt.DiagSink = cfg.DiagSink
 	var jsonlFile *os.File
 	var jsonlBuf *bufio.Writer
@@ -275,6 +264,13 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 	}
 
 	metrics.EndSpan(metrics.RunSpan())
+	if traceFile != nil {
+		// -validate records provenance too (core.Options.Validate implies
+		// Explain), so either flag adds the diag lines.
+		if err := writeTrace(traceFile, metrics.Spans(), res.Diags, cfg.Explain || cfg.Validate); err != nil {
+			fmt.Fprintf(stderr, "golclint: trace: %v\n", err)
+		}
+	}
 
 	if jsonlWriter != nil {
 		err := jsonlBuf.Flush()
@@ -357,6 +353,29 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 		return 1, res
 	}
 	return 0, res
+}
+
+// writeTrace renders the -trace JSONL stream: one line per checked function,
+// from its span, then, when provenance was recorded, one diag line per
+// diagnostic in output order. Functions replayed from a cache have no span
+// and so no line; diag lines come from the result and so survive a cache
+// hit. It returns the first write error.
+func writeTrace(w io.Writer, spans []obs.Span, diags []*diag.Diagnostic, withDiags bool) error {
+	bw := bufio.NewWriter(w)
+	err := obs.WriteFuncLines(bw, spans)
+	if err == nil && withDiags {
+		lines := make([]obs.DiagLine, len(diags))
+		for i, sd := range StatsDiags(diags) {
+			pos := diags[i].Pos
+			lines[i] = obs.DiagLine{Code: sd.Code, File: pos.File.String(), Line: int(pos.Line),
+				Msg: sd.Msg, Ref: sd.Ref, Witness: sd.Witness, Validation: sd.Validation}
+		}
+		err = obs.WriteDiagLines(bw, lines)
+	}
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // moduleLabel names a module for diag-jsonl records: its sorted file names.

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"golclint/internal/cache"
@@ -15,6 +13,7 @@ import (
 	"golclint/internal/diag"
 	"golclint/internal/flags"
 	"golclint/internal/obs"
+	"golclint/internal/par"
 	"golclint/internal/sema"
 )
 
@@ -37,8 +36,8 @@ type Options struct {
 	// the modular-checking path uses it to install an interface library
 	// (see internal/library).
 	PreCheck func(*sema.Program) error
-	// Metrics receives phase timings, analysis counters, and per-function
-	// trace events when non-nil. A nil Metrics disables instrumentation;
+	// Metrics receives phase timings, analysis counters, and, when spans
+	// are enabled, per-function spans when non-nil. A nil Metrics disables instrumentation;
 	// hooks then cost one pointer test (see internal/obs).
 	Metrics *obs.Metrics
 	// Jobs bounds the number of concurrent workers, for both the per-file
@@ -72,7 +71,7 @@ type Options struct {
 	// witness path (diag.Provenance) describing the CFG blocks, branch
 	// decisions, and ref state transitions the checker followed. Default
 	// output is unchanged (String ignores provenance); witnesses surface
-	// via -explain, -stats-json, and the JSONL trace. Explain runs address
+	// via -explain, -stats-json, and the -trace stream. Explain runs address
 	// distinct cache entries (the key gains an "explain" component) so
 	// provenance round-trips through the cache without ever appearing in
 	// default-mode entries.
@@ -83,8 +82,8 @@ type Options struct {
 	// the cache entry is stored, so validation outcomes round-trip through
 	// the cache and warm runs replay them without re-executing anything;
 	// the key gains a "validate" component so unvalidated entries are
-	// never replayed as validated ones. Validate implies witness recording
-	// (callers must also set Explain; internal/cli does this).
+	// never replayed as validated ones. Validation derives its harnesses
+	// from witness paths, so a non-nil Validate implies Explain.
 	Validate func(*sema.Program, []*diag.Diagnostic)
 	// EnvFingerprint, when non-nil, returns a lazy per-symbol interface
 	// fingerprint lookup for the analyzed (post-PreCheck) program
@@ -227,17 +226,6 @@ type fileFront struct {
 	pr       *cparse.Result
 }
 
-// frontendJobs resolves the worker count for a fan-out over n files.
-func frontendJobs(jobs, n int) int {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > n {
-		jobs = n
-	}
-	return jobs
-}
-
 // baseDefines builds the run's shared immutable predefinition table
 // (builtin NULL plus opt.Defines, which may override it).
 func baseDefines(opt Options) *cpp.BaseDefines {
@@ -249,11 +237,11 @@ func baseDefines(opt Options) *cpp.BaseDefines {
 	return cpp.NewBaseDefines(defs)
 }
 
-// preprocessFiles expands every file on up to jobs workers, each owning
+// preprocessFiles expands every file on up to opt.Jobs workers, each owning
 // one reusable Preprocessor over the run's shared base-define table. The
 // expanded text (headers, defines, and includes inlined) is both the
 // parser input and the content the cache key addresses.
-func preprocessFiles(names []string, files map[string]string, opt Options, m *obs.Metrics, jobs int, parent obs.SpanID) []fileFront {
+func preprocessFiles(names []string, files map[string]string, opt Options, m *obs.Metrics, parent obs.SpanID) []fileFront {
 	fronts := make([]fileFront, len(names))
 	base := baseDefines(opt)
 	inc := stackedIncluder{primary: opt.Includes}
@@ -270,31 +258,10 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 		}
 	}
 	stopWall := m.StartPhaseWall(obs.PhasePreprocess)
-	if jobs <= 1 {
+	par.Each(len(names), opt.Jobs, func(w int) func(int) {
 		pp := cpp.NewShared(inc, base)
-		for i := range names {
-			doFile(pp, i, 0)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pp := cpp.NewShared(inc, base)
-				for i := range work {
-					doFile(pp, i, w)
-				}
-			}()
-		}
-		for i := range names {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+		return func(i int) { doFile(pp, i, w) }
+	})
 	stopWall()
 	m.EndSpan(phaseSpan)
 	return fronts
@@ -321,31 +288,10 @@ func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, pa
 		fronts[i].pr = pr
 	}
 	stopWall := m.StartPhaseWall(obs.PhaseParse)
-	if jobs <= 1 {
+	par.Each(len(names), jobs, func(w int) func(int) {
 		s := cparse.NewSession(in)
-		for i := range names {
-			doFile(s, i, 0)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := cparse.NewSession(in)
-				for i := range work {
-					doFile(s, i, w)
-				}
-			}()
-		}
-		for i := range names {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+		return func(i int) { doFile(s, i, w) }
+	})
 	stopWall()
 	m.EndSpan(phaseSpan)
 }
@@ -354,6 +300,9 @@ func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, pa
 // files (name -> contents), processed in sorted name order for
 // determinism.
 func CheckSources(files map[string]string, opt Options) *Result {
+	if opt.Validate != nil {
+		opt.Explain = true
+	}
 	fl := opt.Flags
 	if fl == nil {
 		fl = flags.Default()
@@ -375,8 +324,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	modSpan := m.StartSpan(obs.SpanModule, moduleName(names), m.RunSpan(), 0)
 	defer m.EndSpan(modSpan)
 
-	jobs := frontendJobs(opt.Jobs, len(names))
-	fronts := preprocessFiles(names, files, opt, m, jobs, modSpan)
+	fronts := preprocessFiles(names, files, opt, m, modSpan)
 
 	// Caching is sound only when everything that can influence the outcome
 	// is in the key (version, flags, expanded sources) or in the recorded
@@ -423,14 +371,13 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			// -stats-json agrees with the cold run (wall time stays zero:
 			// nothing was re-executed).
 			countValidation(m, res.Diags)
-			traceDiags(m, opt.Explain, res.Diags)
 			emitDiags(opt.DiagSink, res.Diags)
 			return res
 		}
 		m.Add(obs.CacheMisses, 1)
 	}
 
-	parseFiles(names, fronts, m, jobs, modSpan)
+	parseFiles(names, fronts, m, opt.Jobs, modSpan)
 
 	// Replay the per-file slots in serial name order: error ordering and
 	// suppression registration are exactly what a serial run produces.
@@ -528,7 +475,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		m.Add(obs.DiagnosticsSuppressed, int64(res.Suppressed))
 		m.AddTotal(time.Since(runStart))
 	}
-	traceDiags(m, opt.Explain, res.Diags)
 	emitDiags(opt.DiagSink, res.Diags)
 	return res
 }
@@ -574,28 +520,6 @@ func countValidation(m *obs.Metrics, ds []*diag.Diagnostic) {
 	}
 }
 
-// traceDiags emits one JSONL event per finalized diagnostic, witness
-// included. Only -explain runs emit them (after sorting, so the stream is
-// deterministic at every worker count, cold or cached).
-func traceDiags(m *obs.Metrics, explain bool, ds []*diag.Diagnostic) {
-	if !explain || !m.Enabled() {
-		return
-	}
-	for _, d := range ds {
-		ev := obs.DiagEvent{Code: d.Code.String(), File: d.Pos.File.String(), Line: int(d.Pos.Line), Msg: d.Msg}
-		if d.Prov != nil {
-			ev.Ref = d.Prov.Ref
-			for _, s := range d.Prov.Steps {
-				ev.Witness = append(ev.Witness, s.StepString())
-			}
-		}
-		if d.Validation != nil && d.Validation.Tag != diag.ValidationNone {
-			ev.Validation = d.Validation.Tag.String()
-		}
-		m.TraceDiag(ev)
-	}
-}
-
 // FrontendResult is the outcome of running only the frontend (preprocess
 // and parse) over a set of files.
 type FrontendResult struct {
@@ -619,9 +543,8 @@ func Frontend(files map[string]string, opt Options) *FrontendResult {
 	}
 	sort.Strings(names)
 
-	jobs := frontendJobs(opt.Jobs, len(names))
-	fronts := preprocessFiles(names, files, opt, m, jobs, m.RunSpan())
-	parseFiles(names, fronts, m, jobs, m.RunSpan())
+	fronts := preprocessFiles(names, files, opt, m, m.RunSpan())
+	parseFiles(names, fronts, m, opt.Jobs, m.RunSpan())
 
 	fr := &FrontendResult{Units: make([]*cast.Unit, 0, len(names))}
 	for i := range names {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"golclint/internal/annot"
@@ -15,6 +13,7 @@ import (
 	"golclint/internal/diag"
 	"golclint/internal/flags"
 	"golclint/internal/obs"
+	"golclint/internal/par"
 	"golclint/internal/sema"
 )
 
@@ -55,10 +54,9 @@ type checker struct {
 	// prov is the provenance recorder (-explain); nil when recording is
 	// off, so hooks cost one pointer test. Aliases fs.prov.
 	prov *provRec
-	// traceEv, when non-nil, receives this function's FuncEvent instead of
-	// the tracer being called directly from the worker; checkProgram
-	// replays the buffered events in deterministic serial order.
-	traceEv *obs.FuncEvent
+	// fnIndex is the current function's index in checkProgram's serial
+	// enumeration; its span carries it so -trace can restore that order.
+	fnIndex int
 	// fnSpan is the current function's span (0 when spans are off).
 	fnSpan obs.SpanID
 
@@ -133,31 +131,11 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 	if fnc != nil && len(fnc.fns) != len(fns) {
 		fnc = nil // enumeration drifted from the segmenter's; fail safe
 	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(fns) {
-		jobs = len(fns)
-	}
-	m.SetJobs(jobs)
 	checkSpan := m.StartSpan(obs.SpanPhase, "check", parent, 0)
-	stopWall := m.StartCheckWall()
+	stopWall := m.StartPhaseWall(obs.PhaseCheck)
 	// results[i] is function i's ordered diagnostic buffer; workers write
-	// disjoint slots, so no lock is needed. events[i] likewise buffers
-	// function i's trace event so the tracer sees them in serial order
-	// (byte-identical JSONL at every worker count), matching how the diag
-	// buffers are replayed.
+	// disjoint slots, so no lock is needed.
 	results := make([][]*diag.Diagnostic, len(fns))
-	var events []obs.FuncEvent
-	if m.Enabled() {
-		events = make([]obs.FuncEvent, len(fns))
-	}
-	evPtr := func(i int) *obs.FuncEvent {
-		if events == nil {
-			return nil
-		}
-		return &events[i]
-	}
 	// doFn checks (or replays) function i. Cache hits skip the checker
 	// entirely: the stored raw buffer stands in for the one the checker
 	// would have produced, and the cold run's counters are re-added, so
@@ -171,56 +149,23 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 			}
 			m.Add(obs.FuncCacheMisses, 1)
 			fnc.uses[i] = map[string]bool{}
-			results[i], fnc.stats[i] = checkFunctionUnit(prog, fl, m, fns[i], fs, evPtr(i), fnc.uses[i])
+			results[i], fnc.stats[i] = checkFunctionUnit(prog, fl, m, fns[i], i, fs, fnc.uses[i])
 			fnc.results[i] = results[i]
 			return
 		}
-		results[i], _ = checkFunctionUnit(prog, fl, m, fns[i], fs, evPtr(i), nil)
+		results[i], _ = checkFunctionUnit(prog, fl, m, fns[i], i, fs, nil)
 	}
-	if jobs <= 1 {
+	m.SetJobs(par.Each(len(fns), jobs, func(w int) func(int) {
 		fs := newFnState()
+		fs.worker = w
 		fs.spanRoot = checkSpan
 		if explain {
 			fs.prov = &provRec{}
 		}
-		for i := range fns {
-			doFn(i, fs)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fs := newFnState()
-				fs.worker = w
-				fs.spanRoot = checkSpan
-				if explain {
-					fs.prov = &provRec{}
-				}
-				for i := range work {
-					doFn(i, fs)
-				}
-			}()
-		}
-		for i := range fns {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+		return func(i int) { doFn(i, fs) }
+	}))
 	stopWall()
 	m.EndSpan(checkSpan)
-	if m.Enabled() {
-		for i := range events {
-			if events[i].Func == "" {
-				continue // replayed from the function cache; no event
-			}
-			m.TraceFunc(events[i])
-		}
-	}
 	mergeDiags(rep, results, fnc)
 }
 
@@ -230,10 +175,10 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 // cross-function deduplication are deliberately NOT applied here — the
 // buffer records everything in report order and mergeDiags replays it
 // through the run's reporter, which applies them in serial order.
-func checkFunctionUnit(prog *sema.Program, fl *flags.Flags, m *obs.Metrics, f *cast.FuncDef, fs *fnState, ev *obs.FuncEvent, uses map[string]bool) ([]*diag.Diagnostic, cache.FnStats) {
+func checkFunctionUnit(prog *sema.Program, fl *flags.Flags, m *obs.Metrics, f *cast.FuncDef, index int, fs *fnState, uses map[string]bool) ([]*diag.Diagnostic, cache.FnStats) {
 	buf := diag.NewReporter(0)
 	c := &checker{prog: prog, fl: fl, rep: buf, m: m, fs: fs,
-		unknown: map[string]bool{}, prov: fs.prov, traceEv: ev, uses: uses}
+		unknown: map[string]bool{}, prov: fs.prov, fnIndex: index, uses: uses}
 	c.checkFunctionTimed(f)
 	return buf.Buffered(), cache.FnStats{
 		Blocks: int64(c.fnBlocks), Edges: int64(c.fnEdges), Merges: int64(c.fnMerges),
@@ -283,7 +228,7 @@ func CheckFunction(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, f *c
 }
 
 // checkFunctionTimed wraps checkFunction with the per-function timer,
-// counters, and trace event. Dataflow time is attributed to PhaseCheck net
+// counters, and span. Dataflow time is attributed to PhaseCheck net
 // of CFG construction (recorded by checkFunction into fnCFG), so the phase
 // durations stay disjoint and sum to ~the end-to-end total.
 func (c *checker) checkFunctionTimed(f *cast.FuncDef) {
@@ -295,27 +240,15 @@ func (c *checker) checkFunctionTimed(f *cast.FuncDef) {
 	c.fnSpan = c.m.StartSpan(obs.SpanFunction, f.Name, c.fs.spanRoot, c.fs.worker)
 	start := time.Now()
 	c.checkFunction(f)
-	elapsed := time.Since(start)
-	c.m.AddPhase(obs.PhaseCheck, elapsed-c.fnCFG)
+	c.m.AddPhase(obs.PhaseCheck, time.Since(start)-c.fnCFG)
 	c.m.Add(obs.FunctionsChecked, 1)
 	c.m.Add(obs.StoreClones, c.fs.clones)
 	c.m.Add(obs.RefStatesCopied, c.fs.copied)
 	c.m.Add(obs.MergeNS, c.fnMergeNS.Nanoseconds())
 	pos := f.Pos()
-	c.m.EndFuncSpan(c.fnSpan, pos.File.String(), int(pos.Line),
-		int64(c.fnBlocks), int64(c.fnMerges), c.fs.clones)
+	c.m.EndFuncSpan(c.fnSpan, c.fnIndex, pos.File.String(), int(pos.Line),
+		int64(c.fnBlocks), int64(c.fnEdges), int64(c.fnMerges), c.fs.clones)
 	c.fnSpan = 0
-	if c.traceEv != nil {
-		*c.traceEv = obs.FuncEvent{
-			Func:       f.Name,
-			File:       pos.File.String(),
-			Line:       int(pos.Line),
-			Blocks:     c.fnBlocks,
-			Edges:      c.fnEdges,
-			Merges:     c.fnMerges,
-			DurationNS: elapsed.Nanoseconds(),
-		}
-	}
 }
 
 // checkFunction analyzes one function body in a single forward pass.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"golclint/internal/obs"
@@ -24,22 +23,9 @@ void leaky (int n)
 }
 `
 
-// collectTracer records events for assertions.
-type collectTracer struct {
-	mu  sync.Mutex
-	evs []obs.FuncEvent
-}
-
-func (t *collectTracer) TraceFunc(ev obs.FuncEvent) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.evs = append(t.evs, ev)
-}
-
 func TestCheckSourcesPopulatesMetrics(t *testing.T) {
 	m := obs.New()
-	tr := &collectTracer{}
-	m.SetTracer(tr)
+	m.EnableSpans()
 	res := CheckSource("m.c", metricsSrc, Options{Metrics: m})
 	if len(res.Diags) == 0 {
 		t.Fatal("expected a leak diagnostic")
@@ -78,15 +64,22 @@ func TestCheckSourcesPopulatesMetrics(t *testing.T) {
 		t.Errorf("total = %d ns, want > 0", s.TotalNS)
 	}
 
-	if len(tr.evs) != 1 {
-		t.Fatalf("trace events = %d, want 1", len(tr.evs))
+	// The function span carries what -trace and -hot render.
+	var fns []obs.Span
+	for _, sp := range m.Spans() {
+		if sp.Kind == obs.SpanFunction {
+			fns = append(fns, sp)
+		}
 	}
-	ev := tr.evs[0]
-	if ev.Func != "leaky" || ev.File != "m.c" {
-		t.Errorf("event identity = %q %q", ev.Func, ev.File)
+	if len(fns) != 1 {
+		t.Fatalf("function spans = %d, want 1", len(fns))
 	}
-	if ev.Blocks <= 0 || ev.Edges <= 0 || ev.Merges <= 0 || ev.DurationNS < 0 {
-		t.Errorf("event not populated: %+v", ev)
+	sp := fns[0]
+	if sp.Name != "leaky" || sp.File != "m.c" || sp.Index != 0 {
+		t.Errorf("span identity = %q %q #%d", sp.Name, sp.File, sp.Index)
+	}
+	if sp.Blocks <= 0 || sp.Edges <= 0 || sp.Merges <= 0 || sp.Dur < 0 {
+		t.Errorf("span not populated: %+v", sp)
 	}
 }
 

@@ -190,43 +190,6 @@ func TestParallelSharedMetricsRace(t *testing.T) {
 	}
 }
 
-// A shared tracer receives exactly one event per function under
-// concurrency, with no torn lines.
-func TestParallelTracerRace(t *testing.T) {
-	m := obs.New()
-	var buf syncBuffer
-	m.SetTracer(obs.NewJSONLTracer(&buf))
-	CheckSources(parallelSrc, Options{Metrics: m, Jobs: 8})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("trace lines = %d, want 4:\n%s", len(lines), buf.String())
-	}
-	for _, ln := range lines {
-		if !strings.HasPrefix(ln, `{"func":"`) || !strings.HasSuffix(ln, "}") {
-			t.Errorf("torn trace line: %q", ln)
-		}
-	}
-}
-
-// syncBuffer is a mutex-guarded strings.Builder (JSONLTracer serializes
-// writes itself, but the test reads concurrently-written bytes back).
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
 // CheckProgram's exported serial entry point still works on the new
 // engine (one worker, same merge path).
 func TestCheckProgramSerialEntryPoint(t *testing.T) {

@@ -1,16 +1,18 @@
 package core
 
-// Tests for diagnostic provenance (-explain) and trace determinism: every
-// diagnostic carries a non-empty witness path when explain is on, default
-// output and default diagnostics are untouched, and both the JSONL trace
-// stream and the explained rendering are byte-identical at any worker count.
+// Tests for diagnostic provenance (-explain): every diagnostic carries a
+// non-empty witness path when explain is on, default output and default
+// diagnostics are untouched, and the explained rendering is byte-identical
+// at any worker count.
 
 import (
-	"regexp"
 	"strings"
 	"testing"
 
+	"golclint/internal/cache"
+	"golclint/internal/diag"
 	"golclint/internal/obs"
+	"golclint/internal/sema"
 )
 
 // provSrc mixes the anomaly families the witness synthesizer must cover:
@@ -149,70 +151,72 @@ func TestExplainDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-var durationField = regexp.MustCompile(`"duration_ns":\d+`)
-
-// traceAt renders the full JSONL trace stream with the volatile duration
-// field masked.
-func traceAt(t *testing.T, jobs int, explain bool) string {
-	t.Helper()
-	m := obs.New()
-	var buf syncBuffer
-	m.SetTracer(obs.NewJSONLTracer(&buf))
-	res := CheckSources(provSrc, Options{Metrics: m, Jobs: jobs, Explain: explain})
-	if len(res.ParseErrors) > 0 {
-		t.Fatalf("jobs=%d parse errors: %v", jobs, res.ParseErrors)
-	}
-	return durationField.ReplaceAllString(buf.String(), `"duration_ns":0`)
-}
-
-// The JSONL trace stream replays buffered per-function events in serial
-// order after the fan-out, so it is byte-identical (modulo durations) at
-// any worker count.
-func TestTraceStreamDeterministicAcrossJobs(t *testing.T) {
-	for _, explain := range []bool{false, true} {
-		serial := traceAt(t, 1, explain)
-		if serial == "" {
-			t.Fatal("empty trace; test is vacuous")
-		}
-		for _, jobs := range []int{4, 8} {
-			if got := traceAt(t, jobs, explain); got != serial {
-				t.Errorf("explain=%v jobs=%d trace differs:\n--- serial ---\n%s--- jobs=%d ---\n%s",
-					explain, jobs, serial, jobs, got)
-			}
-		}
-	}
-}
-
-// Under -explain the trace stream carries one diag event per retained
-// diagnostic, after all function events.
+// What -trace renders comes from the check itself: under Explain at any
+// worker count, one function span per checked function, filled for its
+// function line, and a witness on every retained diagnostic for its diag
+// line.
 func TestTraceDiagEvents(t *testing.T) {
-	out := traceAt(t, 4, true)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	res := CheckSources(provSrc, Options{Explain: true})
-	var diagLines, funcLines int
-	sawFuncAfterDiag := false
-	inDiags := false
-	for _, ln := range lines {
-		if strings.Contains(ln, `"type":"diag"`) {
-			diagLines++
-			inDiags = true
-		} else {
-			funcLines++
-			if inDiags {
-				sawFuncAfterDiag = true
-			}
+	m := obs.New()
+	m.EnableSpans()
+	res := CheckSources(provSrc, Options{Explain: true, Jobs: 4, Metrics: m})
+	var fns int64
+	for _, sp := range m.Spans() {
+		if sp.Kind != obs.SpanFunction {
+			continue
+		}
+		fns++
+		if sp.File == "" || sp.Line == 0 || sp.Blocks <= 0 || sp.Edges <= 0 {
+			t.Errorf("function span not filled: %+v", sp)
 		}
 	}
-	if diagLines != len(res.Diags) {
-		t.Errorf("diag trace lines = %d, want %d", diagLines, len(res.Diags))
+	if fns == 0 || fns != m.Get(obs.FunctionsChecked) {
+		t.Errorf("function spans = %d, functions checked = %d", fns, m.Get(obs.FunctionsChecked))
 	}
-	if funcLines == 0 {
-		t.Error("no function trace lines")
+	if len(res.Diags) == 0 {
+		t.Fatal("no diagnostics; test is vacuous")
 	}
-	if sawFuncAfterDiag {
-		t.Errorf("function events interleaved after diag events:\n%s", out)
+	for _, d := range res.Diags {
+		if d.Prov == nil || len(d.Prov.Steps) == 0 {
+			t.Errorf("diagnostic without witness: %s", d)
+		}
 	}
-	if !strings.Contains(out, `"witness":[`) {
-		t.Errorf("diag events carry no witness:\n%s", out)
+}
+
+// keyStore is an always-miss cache.Store that records every key written.
+type keyStore struct{ keys []string }
+
+func (s *keyStore) Get(string) (*cache.Entry, bool) { return nil, false }
+
+func (s *keyStore) Put(key string, _ *cache.Entry) (int64, error) {
+	s.keys = append(s.keys, key)
+	return 0, nil
+}
+
+// A Validate hook implies provenance recording: without Explain it records
+// the same witnesses, and writes the same module and function cache keys,
+// as a run that sets both.
+func TestValidateImpliesExplain(t *testing.T) {
+	run := func(explain bool) (string, []string) {
+		st := &keyStore{}
+		res := CheckSources(provSrc, Options{
+			Explain:  explain,
+			Validate: func(*sema.Program, []*diag.Diagnostic) {},
+			Cache:    st,
+			EnvFingerprint: func(*sema.Program) func(string) string {
+				return func(string) string { return "" }
+			},
+		})
+		return res.ExplainedMessages(), st.keys
+	}
+	both, bothKeys := run(true)
+	alone, aloneKeys := run(false)
+	if !strings.Contains(both, "witness (") {
+		t.Fatalf("no witnesses with Explain and Validate; test is vacuous:\n%s", both)
+	}
+	if alone != both {
+		t.Errorf("witnesses differ without Explain:\n--- both ---\n%s--- validate only ---\n%s", both, alone)
+	}
+	if len(bothKeys) < 2 || strings.Join(aloneKeys, " ") != strings.Join(bothKeys, " ") {
+		t.Errorf("cache keys differ without Explain:\n%v\nvs\n%v", bothKeys, aloneKeys)
 	}
 }

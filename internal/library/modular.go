@@ -1,12 +1,11 @@
 package library
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"golclint/internal/core"
 	"golclint/internal/obs"
+	"golclint/internal/par"
 	"golclint/internal/sema"
 )
 
@@ -59,36 +58,10 @@ func CheckModules(modules map[string]map[string]string, lib *Library, opt core.O
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	jobs := opt.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(names) {
-		jobs = len(names)
-	}
 	results := make([]*core.Result, len(names))
-	if jobs <= 1 {
-		for i, n := range names {
-			results[i] = CheckModule(modules[n], lib, opt)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i] = CheckModule(modules[names[i]], lib, opt)
-				}
-			}()
-		}
-		for i := range names {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	par.Each(len(names), opt.Jobs, func(int) func(int) {
+		return func(i int) { results[i] = CheckModule(modules[names[i]], lib, opt) }
+	})
 	out := make(map[string]*core.Result, len(names))
 	for i, n := range names {
 		out[n] = results[i]

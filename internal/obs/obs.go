@@ -2,8 +2,9 @@
 // timers covering the pipeline (preprocess -> parse -> sema -> CFG build ->
 // per-function dataflow check), analysis counters (tokens lexed, AST nodes,
 // CFG blocks/edges, confluence merges, loop unrollings, annotations
-// consumed, diagnostics emitted/suppressed, library entries loaded), and a
-// pluggable Tracer that receives one event per function checked.
+// consumed, diagnostics emitted/suppressed, library entries loaded), and
+// hierarchical spans (span.go) from which the Chrome trace, the -hot table
+// and the -trace JSONL function lines are all rendered.
 //
 // The package has no dependencies beyond the standard library and is
 // designed so that uninstrumented runs pay almost nothing: a nil *Metrics
@@ -128,9 +129,8 @@ type Metrics struct {
 	// the per-phase durations in phases sum each worker's time (CPU-like
 	// totals), so wall and CPU diverge; their ratio is the effective
 	// parallel speedup of that region.
-	wall   [NumPhases]int64 // nanoseconds, atomic
-	jobs   int64            // atomic; worker count of the most recent run
-	tracer Tracer
+	wall [NumPhases]int64 // nanoseconds, atomic
+	jobs int64            // atomic; worker count of the most recent run
 	// spanSt holds the hierarchical span recorder (see span.go); nil unless
 	// EnableSpans was called, so span-instrumented code costs one nil test.
 	spanSt *spanState
@@ -141,14 +141,6 @@ func New() *Metrics { return &Metrics{} }
 
 // Enabled reports whether metrics are being collected (m is non-nil).
 func (m *Metrics) Enabled() bool { return m != nil }
-
-// SetTracer installs the per-function event sink (nil disables tracing).
-// Call before checking begins; it is not synchronized with TraceFunc.
-func (m *Metrics) SetTracer(t Tracer) {
-	if m != nil {
-		m.tracer = t
-	}
-}
 
 // Add increments counter c by n.
 func (m *Metrics) Add(c Counter, n int64) {
@@ -225,18 +217,6 @@ func (m *Metrics) StartPhaseWall(p Phase) (stop func()) {
 	return func() { m.AddPhaseWall(p, time.Since(start)) }
 }
 
-// AddCheckWall adds d to the wall-clock duration of the checking fan-out
-// (the region covering CFG construction and the dataflow pass across all
-// workers). Equivalent to AddPhaseWall(PhaseCheck, d).
-func (m *Metrics) AddCheckWall(d time.Duration) { m.AddPhaseWall(PhaseCheck, d) }
-
-// CheckWall returns the accumulated wall-clock checking duration.
-func (m *Metrics) CheckWall() time.Duration { return m.PhaseWall(PhaseCheck) }
-
-// StartCheckWall begins timing the checking fan-out; the returned stop
-// function adds the elapsed wall-clock time.
-func (m *Metrics) StartCheckWall() (stop func()) { return m.StartPhaseWall(PhaseCheck) }
-
 // SetJobs records the worker count used by the checking fan-out.
 func (m *Metrics) SetJobs(n int) {
 	if m == nil {
@@ -267,25 +247,6 @@ func (m *Metrics) Total() time.Duration {
 		return 0
 	}
 	return time.Duration(atomic.LoadInt64(&m.totalNS))
-}
-
-// TraceFunc forwards a per-function event to the installed tracer, if any.
-func (m *Metrics) TraceFunc(ev FuncEvent) {
-	if m == nil || m.tracer == nil {
-		return
-	}
-	m.tracer.TraceFunc(ev)
-}
-
-// TraceDiag forwards a per-diagnostic provenance event to the installed
-// tracer when it implements DiagTracer; otherwise it is dropped.
-func (m *Metrics) TraceDiag(ev DiagEvent) {
-	if m == nil || m.tracer == nil {
-		return
-	}
-	if dt, ok := m.tracer.(DiagTracer); ok {
-		dt.TraceDiag(ev)
-	}
 }
 
 // Snapshot is a point-in-time, JSON-serializable copy of the metrics.

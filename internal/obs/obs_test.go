@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +16,6 @@ func TestNilMetricsNoOp(t *testing.T) {
 	m.Add(TokensLexed, 5)
 	m.AddPhase(PhaseParse, time.Second)
 	m.AddTotal(time.Second)
-	m.SetTracer(NewJSONLTracer(&bytes.Buffer{}))
-	m.TraceFunc(FuncEvent{Func: "f"})
 	stop := m.StartPhase(PhaseCheck)
 	stop()
 	if got := m.Get(TokensLexed); got != 0 {
@@ -123,89 +118,31 @@ func TestSnapshotNames(t *testing.T) {
 	}
 }
 
-func TestJSONLTracer(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewJSONLTracer(&buf)
-	m := New()
-	m.SetTracer(tr)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.TraceFunc(FuncEvent{Func: "f", File: "a.c", Blocks: 3, Merges: 1, DurationNS: 42})
-		}()
-	}
-	wg.Wait()
-	if err := tr.Err(); err != nil {
-		t.Fatalf("tracer error: %v", err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var ev FuncEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		if ev.Func != "f" || ev.Blocks != 3 || ev.DurationNS != 42 {
-			t.Fatalf("bad event: %+v", ev)
-		}
-	}
-	if lines != 8 {
-		t.Fatalf("lines = %d, want 8", lines)
-	}
-}
-
-// errWriter fails after the first write.
-type errWriter struct{ n int }
-
-func (w *errWriter) Write(p []byte) (int, error) {
-	w.n++
-	if w.n > 1 {
-		return 0, &json.UnsupportedValueError{Str: "sink failed"}
-	}
-	return len(p), nil
-}
-
-func TestJSONLTracerRetainsFirstError(t *testing.T) {
-	tr := NewJSONLTracer(&errWriter{})
-	tr.TraceFunc(FuncEvent{Func: "a"})
-	tr.TraceFunc(FuncEvent{Func: "b"})
-	tr.TraceFunc(FuncEvent{Func: "c"}) // dropped silently
-	if tr.Err() == nil {
-		t.Fatal("expected retained error")
-	}
-	if !strings.Contains(tr.Err().Error(), "sink failed") {
-		t.Fatalf("unexpected error: %v", tr.Err())
-	}
-}
-
 // The check-wall clock and jobs gauge: nil-safe, atomic, and visible in
 // snapshots (the wall-vs-CPU split the parallel engine reports).
 func TestCheckWallAndJobs(t *testing.T) {
 	var nilM *Metrics
-	nilM.AddCheckWall(time.Second) // no-op, no panic
+	nilM.AddPhaseWall(PhaseCheck, time.Second) // no-op, no panic
 	nilM.SetJobs(4)
-	nilM.StartCheckWall()()
-	if nilM.CheckWall() != 0 || nilM.Jobs() != 0 {
+	nilM.StartPhaseWall(PhaseCheck)()
+	if nilM.PhaseWall(PhaseCheck) != 0 || nilM.Jobs() != 0 {
 		t.Fatal("nil metrics not zero")
 	}
 
 	m := New()
-	m.AddCheckWall(3 * time.Millisecond)
-	m.AddCheckWall(2 * time.Millisecond)
-	if got := m.CheckWall(); got != 5*time.Millisecond {
+	m.AddPhaseWall(PhaseCheck, 3*time.Millisecond)
+	m.AddPhaseWall(PhaseCheck, 2*time.Millisecond)
+	if got := m.PhaseWall(PhaseCheck); got != 5*time.Millisecond {
 		t.Fatalf("check wall = %v, want 5ms", got)
 	}
 	m.SetJobs(8)
 	if m.Jobs() != 8 {
 		t.Fatalf("jobs = %d", m.Jobs())
 	}
-	stop := m.StartCheckWall()
+	stop := m.StartPhaseWall(PhaseCheck)
 	stop()
-	if m.CheckWall() < 5*time.Millisecond {
-		t.Fatal("StartCheckWall lost accumulated time")
+	if m.PhaseWall(PhaseCheck) < 5*time.Millisecond {
+		t.Fatal("StartPhaseWall lost accumulated time")
 	}
 	snap := m.Snapshot()
 	if snap.CheckWallNS < int64(5*time.Millisecond) || snap.Jobs != 8 {
@@ -223,14 +160,14 @@ func TestConcurrentCheckWall(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				m.AddCheckWall(time.Microsecond)
+				m.AddPhaseWall(PhaseCheck, time.Microsecond)
 				m.AddPhase(PhaseCheck, time.Microsecond)
 				m.Add(FunctionsChecked, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := m.CheckWall(); got != 1600*time.Microsecond {
+	if got := m.PhaseWall(PhaseCheck); got != 1600*time.Microsecond {
 		t.Fatalf("check wall = %v, want 1.6ms", got)
 	}
 	if got := m.Get(FunctionsChecked); got != 1600 {
@@ -239,9 +176,8 @@ func TestConcurrentCheckWall(t *testing.T) {
 }
 
 // Per-phase wall timers: each fan-out region accumulates independently,
-// the legacy check-wall accessors alias the PhaseCheck slot, and the
-// frontend slots surface in the snapshot as preprocess_wall_ns and
-// parse_wall_ns.
+// and the slots surface in the snapshot as preprocess_wall_ns,
+// parse_wall_ns and check_wall_ns.
 func TestPhaseWall(t *testing.T) {
 	var nilM *Metrics
 	nilM.AddPhaseWall(PhasePreprocess, time.Second) // no-op, no panic
@@ -255,15 +191,15 @@ func TestPhaseWall(t *testing.T) {
 	m.AddPhaseWall(NumPhases, time.Second)
 	m.AddPhaseWall(PhasePreprocess, 2*time.Millisecond)
 	m.AddPhaseWall(PhaseParse, 3*time.Millisecond)
-	m.AddCheckWall(5 * time.Millisecond)
+	m.AddPhaseWall(PhaseCheck, 5*time.Millisecond)
 	if got := m.PhaseWall(PhasePreprocess); got != 2*time.Millisecond {
 		t.Errorf("preprocess wall = %v, want 2ms", got)
 	}
 	if got := m.PhaseWall(PhaseParse); got != 3*time.Millisecond {
 		t.Errorf("parse wall = %v, want 3ms", got)
 	}
-	if got, legacy := m.PhaseWall(PhaseCheck), m.CheckWall(); got != 5*time.Millisecond || legacy != got {
-		t.Errorf("check wall = %v / %v, want 5ms via both accessors", got, legacy)
+	if got := m.PhaseWall(PhaseCheck); got != 5*time.Millisecond {
+		t.Errorf("check wall = %v, want 5ms", got)
 	}
 	stop := m.StartPhaseWall(PhaseParse)
 	stop()

@@ -50,7 +50,8 @@ type SpanID int64
 
 // Span is one recorded interval. Start is nanoseconds since the recording
 // epoch (EnableSpans); Dur is filled by EndSpan. Function spans additionally
-// carry their position and per-function work counters.
+// carry their index in the checking fan-out's serial enumeration, their
+// position and per-function work counters.
 type Span struct {
 	ID     SpanID
 	Parent SpanID
@@ -59,9 +60,11 @@ type Span struct {
 	TID    int // worker index inside a fan-out; 0 for serial spans
 	Start  int64
 	Dur    int64
+	Index  int
 	File   string
 	Line   int
 	Blocks int64
+	Edges  int64
 	Merges int64
 	Clones int64
 }
@@ -121,9 +124,9 @@ func (m *Metrics) EndSpan(id SpanID) {
 	st.mu.Unlock()
 }
 
-// EndFuncSpan closes a function span, attaching its source position and the
-// per-function work counters shown by -hot.
-func (m *Metrics) EndFuncSpan(id SpanID, file string, line int, blocks, merges, clones int64) {
+// EndFuncSpan closes a function span, attaching its serial index, source
+// position and the per-function work counters shown by -hot and -trace.
+func (m *Metrics) EndFuncSpan(id SpanID, index int, file string, line int, blocks, edges, merges, clones int64) {
 	if m == nil || m.spanSt == nil || id == 0 {
 		return
 	}
@@ -133,8 +136,8 @@ func (m *Metrics) EndFuncSpan(id SpanID, file string, line int, blocks, merges, 
 	if int(id) <= len(st.spans) {
 		sp := &st.spans[id-1]
 		sp.Dur = now - sp.Start
-		sp.File, sp.Line = file, line
-		sp.Blocks, sp.Merges, sp.Clones = blocks, merges, clones
+		sp.Index, sp.File, sp.Line = index, file, line
+		sp.Blocks, sp.Edges, sp.Merges, sp.Clones = blocks, edges, merges, clones
 	}
 	st.mu.Unlock()
 }
@@ -219,6 +222,72 @@ func WriteTraceEvents(w io.Writer, spans []Span) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(tf)
+}
+
+// funcLine is one -trace JSONL line: the analysis of one function.
+type funcLine struct {
+	Func       string `json:"func"`
+	File       string `json:"file"`
+	Line       int    `json:"line"`
+	Blocks     int64  `json:"blocks"`
+	Edges      int64  `json:"edges"`
+	Merges     int64  `json:"merges"`
+	DurationNS int64  `json:"duration_ns"`
+}
+
+// WriteFuncLines renders each function span as one JSONL line. Lines come
+// in serial order — by checking fan-out (Parent), then by the function's
+// index within it — so the stream is the same at every worker count apart
+// from durations. It returns the first write error.
+func WriteFuncLines(w io.Writer, spans []Span) error {
+	var fns []Span
+	for _, sp := range spans {
+		if sp.Kind == SpanFunction {
+			fns = append(fns, sp)
+		}
+	}
+	sort.SliceStable(fns, func(i, j int) bool {
+		if fns[i].Parent != fns[j].Parent {
+			return fns[i].Parent < fns[j].Parent
+		}
+		return fns[i].Index < fns[j].Index
+	})
+	enc := json.NewEncoder(w)
+	for _, sp := range fns {
+		if err := enc.Encode(funcLine{
+			Func: sp.Name, File: sp.File, Line: sp.Line,
+			Blocks: sp.Blocks, Edges: sp.Edges, Merges: sp.Merges, DurationNS: sp.Dur,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DiagLine is one "type":"diag" line of the -trace stream: a diagnostic
+// with its provenance. Type is set by WriteDiagLines.
+type DiagLine struct {
+	Type       string   `json:"type"`
+	Code       string   `json:"code"`
+	File       string   `json:"file"`
+	Line       int      `json:"line"`
+	Msg        string   `json:"msg"`
+	Ref        string   `json:"ref,omitempty"`
+	Witness    []string `json:"witness,omitempty"`
+	Validation string   `json:"validation,omitempty"`
+}
+
+// WriteDiagLines renders each diagnostic as one "type":"diag" JSONL line,
+// in the order given. It returns the first write error.
+func WriteDiagLines(w io.Writer, lines []DiagLine) error {
+	enc := json.NewEncoder(w)
+	for _, ln := range lines {
+		ln.Type = "diag"
+		if err := enc.Encode(ln); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // HotFunctions returns the n slowest function spans, sorted by duration

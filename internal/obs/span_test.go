@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -21,7 +22,7 @@ func TestSpanNilMetricsNoOps(t *testing.T) {
 		t.Errorf("StartSpan on nil = %d, want 0", id)
 	}
 	m.EndSpan(1)
-	m.EndFuncSpan(1, "f.c", 1, 0, 0, 0)
+	m.EndFuncSpan(1, 0, "f.c", 1, 0, 0, 0, 0)
 	if id := m.BeginRunSpan("run"); id != 0 {
 		t.Errorf("BeginRunSpan on nil = %d, want 0", id)
 	}
@@ -31,7 +32,6 @@ func TestSpanNilMetricsNoOps(t *testing.T) {
 	if sp := m.Spans(); sp != nil {
 		t.Errorf("Spans on nil = %v, want nil", sp)
 	}
-	m.TraceDiag(DiagEvent{})
 }
 
 // A Metrics without EnableSpans must also no-op (that is the provenance-off
@@ -45,7 +45,7 @@ func TestSpanDisabledNoOps(t *testing.T) {
 		t.Errorf("StartSpan disabled = %d, want 0", id)
 	}
 	m.EndSpan(3)
-	m.EndFuncSpan(3, "f.c", 1, 1, 2, 3)
+	m.EndFuncSpan(3, 0, "f.c", 1, 1, 2, 3, 4)
 	if got := m.Spans(); got != nil {
 		t.Errorf("Spans = %v, want nil", got)
 	}
@@ -60,7 +60,7 @@ func TestSpanHierarchyAndExport(t *testing.T) {
 	}
 	mod := m.StartSpan(SpanModule, "mod", run, 0)
 	fn := m.StartSpan(SpanFunction, "f", mod, 2)
-	m.EndFuncSpan(fn, "a.c", 3, 7, 2, 5)
+	m.EndFuncSpan(fn, 4, "a.c", 3, 7, 9, 2, 5)
 	m.EndSpan(mod)
 	m.EndSpan(run)
 
@@ -69,8 +69,8 @@ func TestSpanHierarchyAndExport(t *testing.T) {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
 	f := spans[2]
-	if f.Parent != mod || f.TID != 2 || f.File != "a.c" || f.Line != 3 ||
-		f.Blocks != 7 || f.Merges != 2 || f.Clones != 5 {
+	if f.Parent != mod || f.TID != 2 || f.Index != 4 || f.File != "a.c" || f.Line != 3 ||
+		f.Blocks != 7 || f.Edges != 9 || f.Merges != 2 || f.Clones != 5 {
 		t.Errorf("function span = %+v", f)
 	}
 	if f.Dur < 0 || spans[0].Dur < f.Dur {
@@ -117,7 +117,7 @@ func TestSpanConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				id := m.StartSpan(SpanFunction, fmt.Sprintf("w%d_f%d", w, i), run, w)
-				m.EndFuncSpan(id, "x.c", i, int64(i), 1, 2)
+				m.EndFuncSpan(id, i, "x.c", i, int64(i), 3, 1, 2)
 			}
 		}()
 	}
@@ -166,18 +166,94 @@ func TestHotFunctionsDeterministicTie(t *testing.T) {
 	}
 }
 
+// -trace diag lines: one JSON object per diagnostic, in the order given,
+// "type":"diag" first, and provenance fields left out when empty.
 func TestJSONLTracerDiagEvents(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewJSONLTracer(&buf)
-	m := New()
-	m.SetTracer(tr)
-	m.TraceDiag(DiagEvent{Code: "mustfree", File: "a.c", Line: 4, Msg: "leak",
-		Ref: "p", Witness: []string{"a.c:2: [alloc] fresh storage"}})
+	err := WriteDiagLines(&buf, []DiagLine{
+		{Code: "mustfree", File: "a.c", Line: 4, Msg: "leak", Ref: "p",
+			Witness: []string{"a.c:2: [alloc] fresh storage"}, Validation: "confirmed"},
+		{Code: "usereleased", File: "b.c", Line: 9, Msg: "use after free"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("lines = %d, want 2:\n%s", len(lines), buf.String())
+	}
 	var ev map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
+	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("diag event not JSON: %v", err)
 	}
-	if ev["type"] != "diag" || ev["code"] != "mustfree" {
+	if ev["type"] != "diag" || ev["code"] != "mustfree" || len(ev["witness"].([]any)) != 1 {
 		t.Errorf("event = %v", ev)
+	}
+	want := `{"type":"diag","code":"usereleased","file":"b.c","line":9,"msg":"use after free"}`
+	if lines[1] != want {
+		t.Errorf("line = %s\nwant   %s", lines[1], want)
+	}
+}
+
+// -trace function lines: function spans only, in serial order (fan-out,
+// then index) whatever order the workers recorded them in, with the line
+// schema's fields.
+func TestWriteFuncLines(t *testing.T) {
+	spans := []Span{
+		{ID: 1, Kind: SpanRun, Name: "run"},
+		{ID: 2, Kind: SpanPhase, Name: "check", Parent: 1},
+		{ID: 3, Kind: SpanFunction, Name: "c", Parent: 2, Index: 2},
+		{ID: 4, Kind: SpanFunction, Name: "a", Parent: 2, Index: 0, File: "a.c", Line: 3, Blocks: 4, Edges: 5, Merges: 1, Clones: 9, Dur: 42},
+		{ID: 5, Kind: SpanPhase, Name: "check", Parent: 1},
+		{ID: 6, Kind: SpanFunction, Name: "d", Parent: 5, Index: 0},
+		{ID: 7, Kind: SpanFunction, Name: "b", Parent: 2, Index: 1},
+	}
+	var buf bytes.Buffer
+	if err := WriteFuncLines(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	var names []string
+	for _, ln := range lines {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("line not JSON: %v\n%s", err, ln)
+		}
+		names = append(names, ev["func"].(string))
+	}
+	if got := strings.Join(names, ","); got != "a,b,c,d" {
+		t.Errorf("order = %s, want a,b,c,d", got)
+	}
+	want := `{"func":"a","file":"a.c","line":3,"blocks":4,"edges":5,"merges":1,"duration_ns":42}`
+	if lines[0] != want {
+		t.Errorf("line = %s\nwant   %s", lines[0], want)
+	}
+}
+
+// errWriter fails every write after the first.
+type errWriter struct{ n int }
+
+func (w *errWriter) Write(p []byte) (int, error) {
+	w.n++
+	if w.n > 1 {
+		return 0, errors.New("sink failed")
+	}
+	return len(p), nil
+}
+
+// A failing sink stops the stream and its first error is returned.
+func TestWriteFuncLinesError(t *testing.T) {
+	spans := []Span{
+		{Kind: SpanFunction, Name: "a", Index: 0},
+		{Kind: SpanFunction, Name: "b", Index: 1},
+		{Kind: SpanFunction, Name: "c", Index: 2},
+	}
+	w := &errWriter{}
+	err := WriteFuncLines(w, spans)
+	if err == nil || err.Error() != "sink failed" {
+		t.Fatalf("err = %v, want the sink's error", err)
+	}
+	if w.n != 2 {
+		t.Errorf("writes = %d, want 2 (stop at the first failure)", w.n)
 	}
 }

@@ -561,20 +561,18 @@ func (s *Server) aggregate(counters map[string]int64) {
 
 // Stats is the /stats document.
 type Stats struct {
-	Schema      string         `json:"schema"`
-	UptimeNS    int64          `json:"uptime_ns"`
-	Requests    int64          `json:"requests"`
-	Errors      int64          `json:"errors"`
-	Rejected    int64          `json:"rejected"`
-	Coalesced   int64          `json:"coalesced"`
-	MemoHits    int64          `json:"memo_hits"`
-	MemoEntries int            `json:"memo_entries"`
-	MemoBytes   int64          `json:"memo_bytes"`
-	InFlight    int64          `json:"in_flight"`
-	CacheMem    cache.MemStats `json:"cache_mem"`
+	Schema      string `json:"schema"`
+	UptimeNS    int64  `json:"uptime_ns"`
+	Requests    int64  `json:"requests"`
+	Errors      int64  `json:"errors"`
+	Rejected    int64  `json:"rejected"`
+	Coalesced   int64  `json:"coalesced"`
+	MemoHits    int64  `json:"memo_hits"`
+	MemoEntries int    `json:"memo_entries"`
+	MemoBytes   int64  `json:"memo_bytes"`
+	InFlight    int64  `json:"in_flight"`
 	// CacheStores breaks the session's store stack down per layer ("mem",
-	// "disk", "remote") in the same shape -stats-json uses; CacheMem
-	// duplicates the "mem" layer for callers that predate it.
+	// "disk", "remote") in the same shape -stats-json uses.
 	CacheStores       map[string]cache.StoreStats `json:"cache_stores,omitempty"`
 	ResidentLibraries int                         `json:"resident_libraries"`
 	Counters          map[string]int64            `json:"counters"`
@@ -602,7 +600,6 @@ func (s *Server) StatsSnapshot() Stats {
 		MemoEntries:       memoEntries,
 		MemoBytes:         memoBytes,
 		InFlight:          s.active.Load(),
-		CacheMem:          s.sess.MemStats(),
 		CacheStores:       s.sess.LayerStats(),
 		ResidentLibraries: s.sess.ResidentLibraries(),
 		Counters:          counters,

@@ -194,7 +194,7 @@ func TestCheckRejections(t *testing.T) {
 		t.Errorf("errors counter = %d, want %d", got, len(cases))
 	}
 	// Rejections must not have touched resident state.
-	if s := srv.StatsSnapshot(); s.CacheMem.Entries != 0 || s.Requests != 0 {
+	if s := srv.StatsSnapshot(); s.CacheStores["mem"].Entries != 0 || s.Requests != 0 {
 		t.Errorf("rejected requests touched resident state: %+v", s)
 	}
 }
@@ -232,7 +232,7 @@ func TestMethodsAndHealth(t *testing.T) {
 	}
 	// One checked module yields a module-level cache entry plus one
 	// function-granular sub-entry (leak.c has a single function).
-	if st.Schema != "golclint-serve-stats/v1" || st.Requests != 1 || st.CacheMem.Entries != 2 {
+	if st.Schema != "golclint-serve-stats/v1" || st.Requests != 1 || st.CacheStores["mem"].Entries != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.Counters["cache_misses"] != 1 {
