@@ -116,7 +116,9 @@ func TestStatsJSONAndTrace(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.jsonl")
 
 	statsOut := capture(t, func() {
-		if code := run([]string{"-stats", "-stats-json", jsonPath, "-trace", tracePath, src}); code != 1 {
+		// -jobs 1: phases_ns sum per-worker time, so only a serial run
+		// bounds their sum by total_ns.
+		if code := run([]string{"-stats", "-stats-json", jsonPath, "-trace", tracePath, "-jobs", "1", src}); code != 1 {
 			t.Errorf("exit = %d, want 1", code)
 		}
 	})

@@ -16,8 +16,8 @@
 //	internal/core     THE PAPER'S CONTRIBUTION: the modular checker
 //	internal/diag     two-level messages + stylized-comment suppression
 //	internal/flags    check toggles (-allimponly, gc mode, ...)
-//	internal/obs      instrumentation: phase timers, counters, and spans
-//	                  (rendered as -trace JSONL, -trace-out and -hot)
+//	internal/obs      instrumentation: counters and spans, the one clock
+//	                  (-stats-json timings, -trace JSONL, -trace-out, -hot)
 //	internal/library  serialized interface libraries (modular re-checking)
 //	internal/interp   run-time baseline (dmalloc/Purify stand-in)
 //	internal/testgen  synthetic programs with seeded, labelled bugs

@@ -48,7 +48,6 @@ type DiagJSONLWriter struct {
 	mode   renderMode
 	seq    int
 	err    error
-	n      int
 }
 
 // renderMode selects which rendered surface the Text field captures,
@@ -127,16 +126,6 @@ func (j *DiagJSONLWriter) Sink(d *diag.Diagnostic) {
 		return
 	}
 	j.seq++
-	j.n++
-}
-
-// fail latches the first error.
-func (j *DiagJSONLWriter) fail(err error) {
-	j.mu.Lock()
-	if j.err == nil {
-		j.err = err
-	}
-	j.mu.Unlock()
 }
 
 // Err returns the first write error, if any.
@@ -144,11 +133,4 @@ func (j *DiagJSONLWriter) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Records reports how many records were written.
-func (j *DiagJSONLWriter) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
 }

@@ -164,7 +164,6 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 		metrics = obs.New()
 	}
 	if cfg.TraceOut != "" || cfg.HotN > 0 || cfg.TracePath != "" {
-		metrics.EnableSpans()
 		metrics.BeginRunSpan("golclint")
 	}
 	var traceFile *os.File

@@ -36,9 +36,10 @@ type Options struct {
 	// the modular-checking path uses it to install an interface library
 	// (see internal/library).
 	PreCheck func(*sema.Program) error
-	// Metrics receives phase timings, analysis counters, and, when spans
-	// are enabled, per-function spans when non-nil. A nil Metrics disables instrumentation;
-	// hooks then cost one pointer test (see internal/obs).
+	// Metrics, when non-nil, receives analysis counters and the module,
+	// phase, file and function spans its phase timings are derived from. A
+	// nil Metrics disables instrumentation; hooks then cost one pointer test
+	// (see internal/obs).
 	Metrics *obs.Metrics
 	// Jobs bounds the number of concurrent workers, for both the per-file
 	// frontend fan-out (preprocess, parse) and the per-function checking
@@ -245,24 +246,20 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 	fronts := make([]fileFront, len(names))
 	base := baseDefines(opt)
 	inc := stackedIncluder{primary: opt.Includes}
-	phaseSpan := m.StartSpan(obs.SpanPhase, "preprocess", parent, 0)
+	phaseSpan := m.StartSpan(obs.SpanPhase, obs.PhasePreprocess.String(), parent, 0)
 	doFile := func(pp *cpp.Preprocessor, i, w int) {
 		pp.Reset()
 		fileSpan := m.StartSpan(obs.SpanFile, names[i], phaseSpan, w)
-		stop := m.StartPhase(obs.PhasePreprocess)
 		fronts[i].expanded = pp.Process(names[i], files[names[i]])
-		stop()
 		m.EndSpan(fileSpan)
 		for _, e := range pp.Errors() {
 			fronts[i].ppErrs = append(fronts[i].ppErrs, e.Error())
 		}
 	}
-	stopWall := m.StartPhaseWall(obs.PhasePreprocess)
 	par.Each(len(names), opt.Jobs, func(w int) func(int) {
 		pp := cpp.NewShared(inc, base)
 		return func(i int) { doFile(pp, i, w) }
 	})
-	stopWall()
 	m.EndSpan(phaseSpan)
 	return fronts
 }
@@ -273,12 +270,10 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 // order-independent and identical at every worker count.
 func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, parent obs.SpanID) {
 	in := ctoken.NewInterner()
-	phaseSpan := m.StartSpan(obs.SpanPhase, "parse", parent, 0)
+	phaseSpan := m.StartSpan(obs.SpanPhase, obs.PhaseParse.String(), parent, 0)
 	doFile := func(s *cparse.Session, i, w int) {
 		fileSpan := m.StartSpan(obs.SpanFile, names[i], phaseSpan, w)
-		stop := m.StartPhase(obs.PhaseParse)
 		pr := s.Parse(names[i], fronts[i].expanded)
-		stop()
 		m.EndSpan(fileSpan)
 		if m.Enabled() {
 			m.Add(obs.TokensLexed, int64(pr.Tokens))
@@ -287,12 +282,10 @@ func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, pa
 		}
 		fronts[i].pr = pr
 	}
-	stopWall := m.StartPhaseWall(obs.PhaseParse)
 	par.Each(len(names), jobs, func(w int) func(int) {
 		s := cparse.NewSession(in)
 		return func(i int) { doFile(s, i, w) }
 	})
-	stopWall()
 	m.EndSpan(phaseSpan)
 }
 
@@ -308,10 +301,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		fl = flags.Default()
 	}
 	m := opt.Metrics
-	var runStart time.Time
-	if m.Enabled() {
-		runStart = time.Now()
-	}
 	res := &Result{}
 	rep := diag.NewReporter(fl.MaxMessages)
 
@@ -321,8 +310,9 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	}
 	sort.Strings(names)
 
+	// The module span is what -stats-json's total_ns sums; it closes
+	// before the diagnostics stream to the sink.
 	modSpan := m.StartSpan(obs.SpanModule, moduleName(names), m.RunSpan(), 0)
-	defer m.EndSpan(modSpan)
 
 	fronts := preprocessFiles(names, files, opt, m, modSpan)
 
@@ -365,12 +355,12 @@ func CheckSources(files map[string]string, opt Options) *Result {
 				m.Add(obs.CacheBytes, e.Size)
 				m.Add(obs.DiagnosticsEmitted, int64(len(res.Diags)))
 				m.Add(obs.DiagnosticsSuppressed, int64(res.Suppressed))
-				m.AddTotal(time.Since(runStart))
 			}
 			// Validation tags replay from the entry; recount them so warm
 			// -stats-json agrees with the cold run (wall time stays zero:
 			// nothing was re-executed).
 			countValidation(m, res.Diags)
+			m.EndSpan(modSpan)
 			emitDiags(opt.DiagSink, res.Diags)
 			return res
 		}
@@ -396,8 +386,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		units = append(units, pr.Unit)
 	}
 
-	semaSpan := m.StartSpan(obs.SpanPhase, "sema", modSpan, 0)
-	stopSema := m.StartPhase(obs.PhaseSema)
+	semaSpan := m.StartSpan(obs.SpanPhase, obs.PhaseSema.String(), modSpan, 0)
 	prog := sema.Analyze(units)
 	for _, e := range prog.Errors {
 		res.SemaErrors = append(res.SemaErrors, e.Error())
@@ -407,7 +396,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			res.SemaErrors = append(res.SemaErrors, err.Error())
 		}
 	}
-	stopSema()
 	m.EndSpan(semaSpan)
 
 	// The function-granular cache layer engages only when the module key
@@ -473,8 +461,8 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	if m.Enabled() {
 		m.Add(obs.DiagnosticsEmitted, int64(len(res.Diags)))
 		m.Add(obs.DiagnosticsSuppressed, int64(res.Suppressed))
-		m.AddTotal(time.Since(runStart))
 	}
+	m.EndSpan(modSpan)
 	emitDiags(opt.DiagSink, res.Diags)
 	return res
 }

@@ -48,7 +48,6 @@ type checker struct {
 	fnMerges  int
 	fnBlocks  int
 	fnEdges   int
-	fnCFG     time.Duration
 	fnMergeNS time.Duration
 
 	// prov is the provenance recorder (-explain); nil when recording is
@@ -57,7 +56,7 @@ type checker struct {
 	// fnIndex is the current function's index in checkProgram's serial
 	// enumeration; its span carries it so -trace can restore that order.
 	fnIndex int
-	// fnSpan is the current function's span (0 when spans are off).
+	// fnSpan is the current function's span (0 when metrics are off).
 	fnSpan obs.SpanID
 
 	// breakStates/continueStates collect the stores flowing to the
@@ -131,8 +130,7 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 	if fnc != nil && len(fnc.fns) != len(fns) {
 		fnc = nil // enumeration drifted from the segmenter's; fail safe
 	}
-	checkSpan := m.StartSpan(obs.SpanPhase, "check", parent, 0)
-	stopWall := m.StartPhaseWall(obs.PhaseCheck)
+	checkSpan := m.StartSpan(obs.SpanPhase, obs.PhaseCheck.String(), parent, 0)
 	// results[i] is function i's ordered diagnostic buffer; workers write
 	// disjoint slots, so no lock is needed.
 	results := make([][]*diag.Diagnostic, len(fns))
@@ -164,7 +162,6 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 		}
 		return func(i int) { doFn(i, fs) }
 	}))
-	stopWall()
 	m.EndSpan(checkSpan)
 	mergeDiags(rep, results, fnc)
 }
@@ -227,20 +224,18 @@ func CheckFunction(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, f *c
 	c.checkFunction(f)
 }
 
-// checkFunctionTimed wraps checkFunction with the per-function timer,
-// counters, and span. Dataflow time is attributed to PhaseCheck net
-// of CFG construction (recorded by checkFunction into fnCFG), so the phase
-// durations stay disjoint and sum to ~the end-to-end total.
+// checkFunctionTimed wraps checkFunction with the per-function counters and
+// span. The span's cfg child (opened by checkFunction) times CFG
+// construction, so the check phase is the span's duration net of it and
+// the phase durations stay disjoint.
 func (c *checker) checkFunctionTimed(f *cast.FuncDef) {
 	if !c.m.Enabled() {
 		c.checkFunction(f)
 		return
 	}
-	c.fnMerges, c.fnBlocks, c.fnEdges, c.fnCFG, c.fnMergeNS = 0, 0, 0, 0, 0
+	c.fnMerges, c.fnBlocks, c.fnEdges, c.fnMergeNS = 0, 0, 0, 0
 	c.fnSpan = c.m.StartSpan(obs.SpanFunction, f.Name, c.fs.spanRoot, c.fs.worker)
-	start := time.Now()
 	c.checkFunction(f)
-	c.m.AddPhase(obs.PhaseCheck, time.Since(start)-c.fnCFG)
 	c.m.Add(obs.FunctionsChecked, 1)
 	c.m.Add(obs.StoreClones, c.fs.clones)
 	c.m.Add(obs.RefStatesCopied, c.fs.copied)
@@ -295,12 +290,9 @@ func (c *checker) checkFunction(f *cast.FuncDef) {
 	// reads labels; -cfg dumps use cfg.Build, which keeps them).
 	var g *cfg.Graph
 	if c.m.Enabled() {
-		cfgSpan := c.m.StartSpan(obs.SpanPhase, "cfg", c.fnSpan, c.fs.worker)
-		cfgStart := time.Now()
+		cfgSpan := c.m.StartSpan(obs.SpanPhase, obs.PhaseCFG.String(), c.fnSpan, c.fs.worker)
 		g = c.fs.cfg.Build(f)
-		c.fnCFG = time.Since(cfgStart)
 		c.m.EndSpan(cfgSpan)
-		c.m.AddPhase(obs.PhaseCFG, c.fnCFG)
 		c.fnBlocks = len(g.Nodes)
 		for _, n := range g.Nodes {
 			c.fnEdges += len(n.Succs)

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"golclint/internal/cpp"
 	"golclint/internal/obs"
+	"golclint/internal/testgen"
 )
 
 // metricsSrc exercises loops, branches (merges), annotations, and a leak so
@@ -25,7 +27,6 @@ void leaky (int n)
 
 func TestCheckSourcesPopulatesMetrics(t *testing.T) {
 	m := obs.New()
-	m.EnableSpans()
 	res := CheckSource("m.c", metricsSrc, Options{Metrics: m})
 	if len(res.Diags) == 0 {
 		t.Fatal("expected a leak diagnostic")
@@ -90,5 +91,38 @@ func TestNilMetricsSameDiagnostics(t *testing.T) {
 	without := CheckSource("m.c", metricsSrc, Options{})
 	if with.Messages() != without.Messages() {
 		t.Fatalf("messages differ:\n%q\nvs\n%q", with.Messages(), without.Messages())
+	}
+}
+
+// At -jobs 1 every span nests inside its parent, so the span-derived
+// snapshot is bounded from above: the phases are disjoint parts of the
+// module spans, and each fan-out wall contains its file or function spans.
+func TestSnapshotNestsAtOneJob(t *testing.T) {
+	p := testgen.Generate(testgen.Config{Seed: 4, Modules: 4, FuncsPer: 3, Annotate: true,
+		Bugs: map[testgen.BugKind]int{testgen.BugLeak: 1}})
+	m := obs.New()
+	CheckSources(p.Files, Options{Includes: cpp.MapIncluder(p.Headers), Metrics: m, Jobs: 1})
+	s := m.Snapshot()
+	var sum int64
+	for name, ns := range s.PhasesNS {
+		if ns <= 0 {
+			t.Errorf("phase %s = %d ns, want > 0", name, ns)
+		}
+		sum += ns
+	}
+	if sum > s.TotalNS {
+		t.Errorf("phase sum %d ns exceeds total %d ns", sum, s.TotalNS)
+	}
+	if s.PreprocessWallNS < s.PhasesNS["preprocess"] {
+		t.Errorf("preprocess wall %d < file spans %d", s.PreprocessWallNS, s.PhasesNS["preprocess"])
+	}
+	if s.ParseWallNS < s.PhasesNS["parse"] {
+		t.Errorf("parse wall %d < file spans %d", s.ParseWallNS, s.PhasesNS["parse"])
+	}
+	if fns := s.PhasesNS["cfg"] + s.PhasesNS["check"]; s.CheckWallNS < fns {
+		t.Errorf("check wall %d < function spans %d", s.CheckWallNS, fns)
+	}
+	if s.Jobs != 1 {
+		t.Errorf("jobs = %d, want 1", s.Jobs)
 	}
 }

@@ -157,7 +157,6 @@ func TestExplainDeterministicAcrossJobs(t *testing.T) {
 // line.
 func TestTraceDiagEvents(t *testing.T) {
 	m := obs.New()
-	m.EnableSpans()
 	res := CheckSources(provSrc, Options{Explain: true, Jobs: 4, Metrics: m})
 	var fns int64
 	for _, sp := range m.Spans() {

@@ -2,11 +2,6 @@ package library
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"golclint/internal/sema"
 )
@@ -29,104 +24,25 @@ func (l *Library) Fingerprints() map[string]string {
 	if l == nil {
 		return map[string]string{}
 	}
-	l.fpOnce.Do(func() { l.fp = l.computeFingerprints() })
+	l.fpOnce.Do(func() {
+		// Installed into an empty environment, the library's records become
+		// the symbols SymbolFingerprints hashes, so both fingerprint a
+		// symbol identically.
+		prog := &sema.Program{Funcs: map[string]*sema.FuncSig{}, Globals: map[string]*sema.Global{}, Enums: map[string]int64{}}
+		l.Install(prog)
+		fp := SymbolFingerprints(prog)
+		l.fp = make(map[string]string, len(l.Funcs)+len(l.Globals)+len(l.Enums))
+		for _, f := range l.Funcs {
+			l.fp[f.Name] = fp(f.Name)
+		}
+		for _, g := range l.Globals {
+			l.fp[g.Name] = fp(g.Name)
+		}
+		for name := range l.Enums {
+			l.fp[name] = fp(name)
+		}
+	})
 	return l.fp
-}
-
-func (l *Library) computeFingerprints() map[string]string {
-	fp := make(map[string]string, len(l.Funcs)+len(l.Globals)+len(l.Enums))
-	typeMemo := make(map[int32]string)
-	add := func(name, content string) {
-		sum := sha256.Sum256([]byte(content))
-		digest := hex.EncodeToString(sum[:16])
-		// A name shared across namespaces (e.g. a function shadowing an
-		// enum constant) combines deterministically: Funcs, then Globals,
-		// then Enums, each pre-sorted by Build.
-		if prev, ok := fp[name]; ok {
-			digest = prev + "|" + digest
-		}
-		fp[name] = digest
-	}
-	for _, f := range l.Funcs {
-		var b strings.Builder
-		fmt.Fprintf(&b, "func %s result=%s annots=%d variadic=%t noreturn=%t globals=%v pos=%s:%d\n",
-			f.Name, l.typeShape(f.Result, typeMemo), f.ResultAnnots, f.Variadic, f.NoReturn,
-			f.GlobalsUsed, f.File, f.Line)
-		for _, p := range f.Params {
-			fmt.Fprintf(&b, "param %s annots=%d type=%s\n", p.Name, p.Annots, l.typeShape(p.Type, typeMemo))
-		}
-		add(f.Name, b.String())
-	}
-	for _, g := range l.Globals {
-		add(g.Name, fmt.Sprintf("global %s annots=%d static=%t init=%t pos=%s:%d type=%s\n",
-			g.Name, g.Annots, g.Static, g.HasInit, g.File, g.Line, l.typeShape(g.Type, typeMemo)))
-	}
-	for name, val := range l.Enums {
-		add(name, fmt.Sprintf("enum %s=%d\n", name, val))
-	}
-	return fp
-}
-
-// typeShape canonically serializes the type subgraph reachable from root.
-// Global table indices are remapped to DFS-visit-order local ids, so the
-// shape depends only on the reachable structure — two libraries storing an
-// identical type at different table positions fingerprint identically,
-// and recursive types terminate because revisited nodes are not expanded.
-// The serialization is context-independent, so it is memoized per root.
-func (l *Library) typeShape(root int32, memo map[int32]string) string {
-	if root < 0 || int(root) >= len(l.Types) {
-		return "nil"
-	}
-	if s, ok := memo[root]; ok {
-		return s
-	}
-	local := map[int32]int{}
-	var order []int32
-	var visit func(int32)
-	visit = func(id int32) {
-		if id < 0 || int(id) >= len(l.Types) {
-			return
-		}
-		if _, ok := local[id]; ok {
-			return
-		}
-		local[id] = len(order)
-		order = append(order, id)
-		rec := l.Types[id]
-		visit(rec.Elem)
-		visit(rec.Return)
-		visit(rec.Underlying)
-		for _, f := range rec.Fields {
-			visit(f.Type)
-		}
-		for _, p := range rec.Params {
-			visit(p.Type)
-		}
-	}
-	visit(root)
-	ref := func(id int32) string {
-		if id < 0 || int(id) >= len(l.Types) {
-			return "-"
-		}
-		return strconv.Itoa(local[id])
-	}
-	var b strings.Builder
-	for _, id := range order {
-		rec := l.Types[id]
-		fmt.Fprintf(&b, "t%d kind=%d elem=%s len=%d tag=%q ret=%s variadic=%t name=%q under=%s annots=%d enums=%v",
-			local[id], rec.Kind, ref(rec.Elem), rec.Len, rec.Tag, ref(rec.Return),
-			rec.Variadic, rec.Name, ref(rec.Underlying), rec.Annots, rec.Enumerators)
-		for _, f := range rec.Fields {
-			fmt.Fprintf(&b, " f(%s:%s:%d)", f.Name, ref(f.Type), f.Annots)
-		}
-		for _, p := range rec.Params {
-			fmt.Fprintf(&b, " p(%s:%s:%d)", p.Name, ref(p.Type), p.Annots)
-		}
-		b.WriteByte(';')
-	}
-	s := b.String()
-	memo[root] = s
-	return s
 }
 
 // ExportProgram serializes prog's interface library (Build + gob): the

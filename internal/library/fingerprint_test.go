@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"golclint/internal/core"
+	"golclint/internal/ctypes"
+	"golclint/internal/sema"
 )
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
@@ -134,19 +136,14 @@ extern /*@only@*/ char *a_make (int n);
 	got := buildLib(t, reordered).Fingerprints()
 	// Positions are part of the fingerprint (diagnostics quote them), so
 	// only same-line symbols are comparable across the reorder; the type
-	// shape itself is exercised via a direct typeShape comparison.
-	libA, libB := buildLib(t, ifaceV1), buildLib(t, reordered)
-	var shapeA, shapeB string
-	for _, f := range libA.Funcs {
-		if f.Name == "a_weigh" {
-			shapeA = libA.typeShape(f.Params[0].Type, map[int32]string{})
-		}
+	// shape itself is exercised via a direct typePtrShape comparison of the
+	// installed libraries.
+	shape := func(l *Library) string {
+		prog := &sema.Program{Funcs: map[string]*sema.FuncSig{}, Globals: map[string]*sema.Global{}, Enums: map[string]int64{}}
+		l.Install(prog)
+		return typePtrShape(prog.Funcs["a_weigh"].Params[0].Type, map[*ctypes.Type]string{})
 	}
-	for _, f := range libB.Funcs {
-		if f.Name == "a_weigh" {
-			shapeB = libB.typeShape(f.Params[0].Type, map[int32]string{})
-		}
-	}
+	shapeA, shapeB := shape(buildLib(t, ifaceV1)), shape(buildLib(t, reordered))
 	if shapeA == "" || shapeA != shapeB {
 		t.Errorf("recursive type shape depends on table layout:\n%q\nvs\n%q", shapeA, shapeB)
 	}

@@ -63,7 +63,7 @@ func SymbolFingerprints(prog *sema.Program) func(name string) string {
 	}
 }
 
-// digest hashes one symbol-content string the way computeFingerprints does.
+// digest hashes one symbol-content string into its fingerprint.
 func digest(content string) string {
 	sum := sha256.Sum256([]byte(content))
 	return hex.EncodeToString(sum[:16])

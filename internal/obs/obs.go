@@ -1,10 +1,11 @@
-// Package obs is the checker's instrumentation layer: monotonic phase
-// timers covering the pipeline (preprocess -> parse -> sema -> CFG build ->
-// per-function dataflow check), analysis counters (tokens lexed, AST nodes,
-// CFG blocks/edges, confluence merges, loop unrollings, annotations
-// consumed, diagnostics emitted/suppressed, library entries loaded), and
-// hierarchical spans (span.go) from which the Chrome trace, the -hot table
-// and the -trace JSONL function lines are all rendered.
+// Package obs is the checker's instrumentation layer: analysis counters
+// (tokens lexed, AST nodes, CFG blocks/edges, confluence merges, loop
+// unrollings, annotations consumed, diagnostics emitted/suppressed, library
+// entries loaded) and hierarchical spans (span.go) over the pipeline
+// (preprocess -> parse -> sema -> CFG build -> per-function dataflow
+// check). The spans are the package's only clock: the Snapshot's phase
+// times, fan-out walls and run total, the Chrome trace, the -hot table and
+// the -trace JSONL function lines are all derived from them.
 //
 // The package has no dependencies beyond the standard library and is
 // designed so that uninstrumented runs pay almost nothing: a nil *Metrics
@@ -19,9 +20,10 @@ import (
 	"time"
 )
 
-// Phase identifies one stage of the checking pipeline. Phases are disjoint:
-// CFG-build time is excluded from the check phase, so the per-phase sum
-// approximates the end-to-end total.
+// Phase identifies one stage of the checking pipeline; its String is the
+// name of the phase spans that time it. Phases are disjoint: CFG-build time
+// is excluded from the check phase, so the per-phase sum approximates the
+// end-to-end total.
 type Phase int
 
 // Pipeline phases in execution order.
@@ -42,12 +44,23 @@ var phaseNames = [NumPhases]string{
 	PhaseCheck:      "check",
 }
 
-// String returns the phase's stable name (used as a JSON key).
+// String returns the phase's stable name (used as a JSON key and as the
+// name of its phase spans).
 func (p Phase) String() string {
 	if p >= 0 && p < NumPhases {
 		return phaseNames[p]
 	}
 	return fmt.Sprintf("phase(%d)", int(p))
+}
+
+// phaseNamed returns the phase whose spans are named name, or NumPhases.
+func phaseNamed(name string) Phase {
+	for p, n := range phaseNames {
+		if n == name {
+			return Phase(p)
+		}
+	}
+	return NumPhases
 }
 
 // Counter identifies one analysis counter.
@@ -117,27 +130,17 @@ func (c Counter) String() string {
 	return fmt.Sprintf("counter(%d)", int(c))
 }
 
-// Metrics accumulates phase durations and counters for one or more checking
-// runs. A nil *Metrics is valid: every method is a no-op, so instrumented
-// code can call unconditionally.
+// Metrics accumulates counters and spans for one or more checking runs.
+// A nil *Metrics is valid: every method is a no-op, so instrumented code
+// can call unconditionally. A non-nil Metrics must come from New.
 type Metrics struct {
-	phases   [NumPhases]int64   // nanoseconds, atomic
 	counters [NumCounters]int64 // atomic
-	totalNS  int64              // atomic
-	// wall holds per-phase wall-clock times for the phases that run as
-	// fan-out regions (preprocess, parse, check). Under parallel execution
-	// the per-phase durations in phases sum each worker's time (CPU-like
-	// totals), so wall and CPU diverge; their ratio is the effective
-	// parallel speedup of that region.
-	wall [NumPhases]int64 // nanoseconds, atomic
-	jobs int64            // atomic; worker count of the most recent run
-	// spanSt holds the hierarchical span recorder (see span.go); nil unless
-	// EnableSpans was called, so span-instrumented code costs one nil test.
-	spanSt *spanState
+	jobs     int64              // atomic; worker count of the most recent run
+	spans    spanState          // the span recorder (span.go)
 }
 
-// New returns an empty Metrics.
-func New() *Metrics { return &Metrics{} }
+// New returns an empty Metrics whose span clock starts now.
+func New() *Metrics { return &Metrics{spans: spanState{epoch: time.Now()}} }
 
 // Enabled reports whether metrics are being collected (m is non-nil).
 func (m *Metrics) Enabled() bool { return m != nil }
@@ -158,65 +161,6 @@ func (m *Metrics) Get(c Counter) int64 {
 	return atomic.LoadInt64(&m.counters[c])
 }
 
-// AddPhase adds d to phase p's accumulated duration.
-func (m *Metrics) AddPhase(p Phase, d time.Duration) {
-	if m == nil || p < 0 || p >= NumPhases {
-		return
-	}
-	atomic.AddInt64(&m.phases[p], int64(d))
-}
-
-// PhaseDuration returns phase p's accumulated duration.
-func (m *Metrics) PhaseDuration(p Phase) time.Duration {
-	if m == nil || p < 0 || p >= NumPhases {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&m.phases[p]))
-}
-
-// noopStop is returned by StartPhase on a nil Metrics so the nil path
-// allocates nothing.
-func noopStop() {}
-
-// StartPhase begins timing phase p against the monotonic clock; the
-// returned stop function adds the elapsed time. Phases may start and stop
-// repeatedly (e.g. parse runs once per file); durations accumulate.
-func (m *Metrics) StartPhase(p Phase) (stop func()) {
-	if m == nil {
-		return noopStop
-	}
-	start := time.Now()
-	return func() { m.AddPhase(p, time.Since(start)) }
-}
-
-// AddPhaseWall adds d to the wall-clock duration of phase p's fan-out
-// region. Compare with PhaseDuration(p), which sums per-worker time.
-func (m *Metrics) AddPhaseWall(p Phase, d time.Duration) {
-	if m == nil || p < 0 || p >= NumPhases {
-		return
-	}
-	atomic.AddInt64(&m.wall[p], int64(d))
-}
-
-// PhaseWall returns phase p's accumulated wall-clock fan-out duration
-// (zero for phases that never ran as a fan-out region).
-func (m *Metrics) PhaseWall(p Phase) time.Duration {
-	if m == nil || p < 0 || p >= NumPhases {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&m.wall[p]))
-}
-
-// StartPhaseWall begins wall-timing phase p's fan-out region; the returned
-// stop function adds the elapsed wall-clock time.
-func (m *Metrics) StartPhaseWall(p Phase) (stop func()) {
-	if m == nil {
-		return noopStop
-	}
-	start := time.Now()
-	return func() { m.AddPhaseWall(p, time.Since(start)) }
-}
-
 // SetJobs records the worker count used by the checking fan-out.
 func (m *Metrics) SetJobs(n int) {
 	if m == nil {
@@ -231,22 +175,6 @@ func (m *Metrics) Jobs() int {
 		return 0
 	}
 	return int(atomic.LoadInt64(&m.jobs))
-}
-
-// AddTotal adds d to the end-to-end wall-clock total.
-func (m *Metrics) AddTotal(d time.Duration) {
-	if m == nil {
-		return
-	}
-	atomic.AddInt64(&m.totalNS, int64(d))
-}
-
-// Total returns the accumulated end-to-end duration.
-func (m *Metrics) Total() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&m.totalNS))
 }
 
 // Snapshot is a point-in-time, JSON-serializable copy of the metrics.
@@ -266,23 +194,61 @@ type Snapshot struct {
 	Counters         map[string]int64 `json:"counters"`
 }
 
-// Snapshot captures the current state. On a nil Metrics it returns a zero
-// snapshot with empty (non-nil) maps.
+// Snapshot captures the current state, deriving every timing field from
+// the closed spans (an open span counts zero):
+//   - PhasesNS: preprocess and parse sum the file spans under the phase
+//     span of that name, sema the sema spans, cfg the per-function cfg
+//     spans, and check each function span's self time (its duration minus
+//     its cfg child);
+//   - PreprocessWallNS, ParseWallNS, CheckWallNS: the fan-out phase spans;
+//   - TotalNS: the module spans (one per CheckSources call).
+//
+// On a nil Metrics it returns a zero snapshot with empty (non-nil) maps.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		PhasesNS: make(map[string]int64, int(NumPhases)),
 		Counters: make(map[string]int64, int(NumCounters)),
 	}
-	for p := Phase(0); p < NumPhases; p++ {
-		s.PhasesNS[p.String()] = int64(m.PhaseDuration(p))
-	}
 	for c := Counter(0); c < NumCounters; c++ {
 		s.Counters[c.String()] = m.Get(c)
 	}
-	s.TotalNS = int64(m.Total())
-	s.PreprocessWallNS = int64(m.PhaseWall(PhasePreprocess))
-	s.ParseWallNS = int64(m.PhaseWall(PhaseParse))
-	s.CheckWallNS = int64(m.PhaseWall(PhaseCheck))
 	s.Jobs = m.Jobs()
+	var phases, walls [NumPhases]int64
+	if m != nil {
+		st := &m.spans
+		st.mu.Lock()
+		for _, sp := range st.spans {
+			switch sp.Kind {
+			case SpanModule:
+				s.TotalNS += sp.Dur
+			case SpanPhase:
+				switch p := phaseNamed(sp.Name); p {
+				case PhasePreprocess, PhaseParse, PhaseCheck:
+					walls[p] += sp.Dur
+				case PhaseSema:
+					phases[p] += sp.Dur
+				case PhaseCFG: // opened only inside a function span
+					phases[p] += sp.Dur
+					phases[PhaseCheck] -= sp.Dur
+				}
+			case SpanFile:
+				if sp.Parent == 0 {
+					break
+				}
+				if p := phaseNamed(st.spans[sp.Parent-1].Name); p == PhasePreprocess || p == PhaseParse {
+					phases[p] += sp.Dur
+				}
+			case SpanFunction:
+				phases[PhaseCheck] += sp.Dur
+			}
+		}
+		st.mu.Unlock()
+	}
+	s.PreprocessWallNS = walls[PhasePreprocess]
+	s.ParseWallNS = walls[PhaseParse]
+	s.CheckWallNS = walls[PhaseCheck]
+	for p := Phase(0); p < NumPhases; p++ {
+		s.PhasesNS[p.String()] = phases[p]
+	}
 	return s
 }

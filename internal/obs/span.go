@@ -44,12 +44,12 @@ func (k SpanKind) String() string {
 }
 
 // SpanID identifies one recorded span; 0 means "no span" and is returned by
-// every span method when recording is off, so callers can thread IDs
+// every span method on a nil Metrics, so callers can thread IDs
 // unconditionally.
 type SpanID int64
 
 // Span is one recorded interval. Start is nanoseconds since the recording
-// epoch (EnableSpans); Dur is filled by EndSpan. Function spans additionally
+// epoch (New); Dur is filled by EndSpan. Function spans additionally
 // carry their index in the checking fan-out's serial enumeration, their
 // position and per-function work counters.
 type Span struct {
@@ -69,8 +69,7 @@ type Span struct {
 	Clones int64
 }
 
-// spanState holds the hierarchical span recorder. It lives behind a single
-// pointer in Metrics so that runs without -trace-out/-hot pay one nil test.
+// spanState holds the hierarchical span recorder of a Metrics.
 type spanState struct {
 	mu    sync.Mutex
 	epoch time.Time
@@ -78,26 +77,14 @@ type spanState struct {
 	run   int64 // atomic SpanID of the root run span
 }
 
-// EnableSpans switches on hierarchical span recording. Must be called
-// before checking begins; without it every span method is a no-op.
-func (m *Metrics) EnableSpans() {
-	if m == nil {
-		return
-	}
-	m.spanSt = &spanState{epoch: time.Now()}
-}
-
-// SpansEnabled reports whether span recording is active.
-func (m *Metrics) SpansEnabled() bool { return m != nil && m.spanSt != nil }
-
 // StartSpan opens a span of the given kind under parent (0 for a root) on
-// worker tid and returns its ID, or 0 when recording is off. Safe for
+// worker tid and returns its ID, or 0 on a nil Metrics. Safe for
 // concurrent use from fan-out workers.
 func (m *Metrics) StartSpan(kind SpanKind, name string, parent SpanID, tid int) SpanID {
-	if m == nil || m.spanSt == nil {
+	if m == nil {
 		return 0
 	}
-	st := m.spanSt
+	st := &m.spans
 	now := time.Since(st.epoch).Nanoseconds()
 	st.mu.Lock()
 	id := SpanID(len(st.spans) + 1)
@@ -109,12 +96,12 @@ func (m *Metrics) StartSpan(kind SpanKind, name string, parent SpanID, tid int) 
 }
 
 // EndSpan closes a span opened by StartSpan. Passing 0 (or calling on a nil
-// or span-disabled Metrics) is a no-op.
+// Metrics) is a no-op.
 func (m *Metrics) EndSpan(id SpanID) {
-	if m == nil || m.spanSt == nil || id == 0 {
+	if m == nil || id == 0 {
 		return
 	}
-	st := m.spanSt
+	st := &m.spans
 	now := time.Since(st.epoch).Nanoseconds()
 	st.mu.Lock()
 	if int(id) <= len(st.spans) {
@@ -127,10 +114,10 @@ func (m *Metrics) EndSpan(id SpanID) {
 // EndFuncSpan closes a function span, attaching its serial index, source
 // position and the per-function work counters shown by -hot and -trace.
 func (m *Metrics) EndFuncSpan(id SpanID, index int, file string, line int, blocks, edges, merges, clones int64) {
-	if m == nil || m.spanSt == nil || id == 0 {
+	if m == nil || id == 0 {
 		return
 	}
-	st := m.spanSt
+	st := &m.spans
 	now := time.Since(st.epoch).Nanoseconds()
 	st.mu.Lock()
 	if int(id) <= len(st.spans) {
@@ -148,25 +135,25 @@ func (m *Metrics) EndFuncSpan(id SpanID, index int, file string, line int, block
 func (m *Metrics) BeginRunSpan(name string) SpanID {
 	id := m.StartSpan(SpanRun, name, 0, 0)
 	if id != 0 {
-		atomic.StoreInt64(&m.spanSt.run, int64(id))
+		atomic.StoreInt64(&m.spans.run, int64(id))
 	}
 	return id
 }
 
 // RunSpan returns the ID recorded by BeginRunSpan (0 if none).
 func (m *Metrics) RunSpan() SpanID {
-	if m == nil || m.spanSt == nil {
+	if m == nil {
 		return 0
 	}
-	return SpanID(atomic.LoadInt64(&m.spanSt.run))
+	return SpanID(atomic.LoadInt64(&m.spans.run))
 }
 
 // Spans returns a copy of every recorded span in creation order.
 func (m *Metrics) Spans() []Span {
-	if m == nil || m.spanSt == nil {
+	if m == nil {
 		return nil
 	}
-	st := m.spanSt
+	st := &m.spans
 	st.mu.Lock()
 	out := make([]Span, len(st.spans))
 	copy(out, st.spans)

@@ -14,10 +14,6 @@ import (
 // calls them unconditionally.
 func TestSpanNilMetricsNoOps(t *testing.T) {
 	var m *Metrics
-	m.EnableSpans()
-	if m.SpansEnabled() {
-		t.Error("nil Metrics reports spans enabled")
-	}
 	if id := m.StartSpan(SpanRun, "x", 0, 0); id != 0 {
 		t.Errorf("StartSpan on nil = %d, want 0", id)
 	}
@@ -34,26 +30,10 @@ func TestSpanNilMetricsNoOps(t *testing.T) {
 	}
 }
 
-// A Metrics without EnableSpans must also no-op (that is the provenance-off
-// hot path), and span IDs must stay 0 so callers can thread them blindly.
-func TestSpanDisabledNoOps(t *testing.T) {
-	m := New()
-	if m.SpansEnabled() {
-		t.Error("spans enabled before EnableSpans")
-	}
-	if id := m.StartSpan(SpanPhase, "check", 0, 0); id != 0 {
-		t.Errorf("StartSpan disabled = %d, want 0", id)
-	}
-	m.EndSpan(3)
-	m.EndFuncSpan(3, 0, "f.c", 1, 1, 2, 3, 4)
-	if got := m.Spans(); got != nil {
-		t.Errorf("Spans = %v, want nil", got)
-	}
-}
-
+// Spans record from New on, nest under their parents and export as
+// trace_event JSON.
 func TestSpanHierarchyAndExport(t *testing.T) {
 	m := New()
-	m.EnableSpans()
 	run := m.BeginRunSpan("golclint")
 	if run == 0 || m.RunSpan() != run {
 		t.Fatalf("run span = %d, RunSpan = %d", run, m.RunSpan())
@@ -106,7 +86,6 @@ func TestSpanHierarchyAndExport(t *testing.T) {
 // Concurrent open/close from worker goroutines — run under -race.
 func TestSpanConcurrent(t *testing.T) {
 	m := New()
-	m.EnableSpans()
 	run := m.BeginRunSpan("golclint")
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
