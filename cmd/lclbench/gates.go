@@ -114,7 +114,8 @@ var gates = []gate{
 	{exp: "E21", field: "cache_bytes", op: ">"},
 
 	// E22: shard-merge parity in every mode, byte-identical warm replay
-	// from entries compressed at least 2x, and ms/KLOC within 2x across a
+	// from framed entries that store at most compressionBytesPerKLOC, and
+	// ms/KLOC within 2x across a
 	// ladder whose every row reports diagnostics. The full run needs a
 	// million-line, thousand-module corpus and a cold fleet over the warm
 	// remote 5x faster than a cold single process.
@@ -123,7 +124,7 @@ var gates = []gate{
 	{exp: "E22", field: "parity_explain", op: "true"},
 	{exp: "E22", field: "parity_validate", op: "true"},
 	{exp: "E22", field: "warm_replay_identical", op: "true"},
-	{exp: "E22", field: "compression_ratio", op: ">=", limit: 2},
+	{exp: "E22", field: "compression_bytes_per_kloc", op: "<=", limit: compressionBytesPerKLOC},
 	{exp: "E22", field: "len(rows)", op: ">=", limit: 2},
 	{exp: "E22", field: "rows[-1].ms_per_kloc", op: "<=", scale: 2, ref: "rows[0].ms_per_kloc"},
 	{exp: "E22", field: "rows[*].messages", op: ">"},

@@ -1307,8 +1307,16 @@ func sortedKeys(m map[string]string) []string {
 // (b) a cold fleet replaying a warm shared remote cache beats a cold
 // single process by the gated factor, (c) merged shard output is
 // byte-identical to the single-process run at every shard count, and
-// (d) frame compression at least halves cache bytes with byte-identical
-// warm replay.
+// (d) the framed cache stores no more bytes per KLOC than the gated bound,
+// with byte-identical warm replay.
+
+// compressionBytesPerKLOC bounds the framed cache bytes E22 stores per KLOC
+// of its compression corpus. It is what the JSON entry format, framed with
+// its dictionary, stored on the full 32-module corpus (13 903 on the quick
+// 8-module one): the record that replaced it may store no more. Stored
+// bytes are the figure that matters to a disk or a blob server; a
+// raw-over-stored ratio would also move with the raw form's size.
+const compressionBytesPerKLOC = 13_459
 
 // distributedRow is one corpus size in the E22 scaling ladder, checked by
 // a cold shard fleet writing through to a shared remote store.
@@ -1346,10 +1354,11 @@ type distributedDoc struct {
 	ParityWarm        bool  `json:"parity_warm"`
 	ParityExplain     bool  `json:"parity_explain"`
 	ParityValidate    bool  `json:"parity_validate"`
-	// Compression section, on the E9 corpus shape.
+	// Compression section, on the E9 corpus shape: record bytes before
+	// framing, framed bytes stored, and stored bytes per KLOC of the corpus.
 	CompressionRawBytes        int64   `json:"compression_raw_bytes"`
 	CompressionCompressedBytes int64   `json:"compression_compressed_bytes"`
-	CompressionRatio           float64 `json:"compression_ratio"`
+	CompressionBytesPerKLOC    float64 `json:"compression_bytes_per_kloc"`
 	WarmReplayIdentical        bool    `json:"warm_replay_identical"`
 }
 
@@ -1613,9 +1622,9 @@ func runDistributed(quick bool) (benchDoc, error) {
 	fmt.Printf("parity (n in %v, cold+warm, plain/explain/validate): cold=%v warm=%v explain=%v validate=%v\n",
 		doc.ParityShardCounts, doc.ParityCold, doc.ParityWarm, doc.ParityExplain, doc.ParityValidate)
 
-	// (d) Compression on the E9 corpus shape: gzip framing must at least
-	// halve stored bytes, and the warm replay from those compressed
-	// entries must be byte-identical.
+	// (d) Compression on the E9 corpus shape: the framed entries must fit
+	// the stored-bytes-per-KLOC bound, and the warm replay from them must
+	// be byte-identical.
 	cp := testgen.Generate(testgen.Config{
 		Seed: 42, Modules: compressionModules, FuncsPer: 10, Annotate: true,
 		Bugs: map[testgen.BugKind]int{testgen.BugLeak: compressionModules / 2},
@@ -1635,16 +1644,14 @@ func runDistributed(quick bool) (benchDoc, error) {
 		return nil, err
 	}
 	doc.CompressionRawBytes, doc.CompressionCompressedBytes = raw, comp
-	if comp > 0 {
-		doc.CompressionRatio = float64(raw) / float64(comp)
-	}
+	doc.CompressionBytesPerKLOC = float64(comp) / (float64(cp.Lines) / 1000)
 	_, warmOut, err := shardJSONL("0/1", cpaths, ccache)
 	if err != nil {
 		return nil, err
 	}
 	doc.WarmReplayIdentical = coldOut == warmOut
-	fmt.Printf("compression: %d raw -> %d stored bytes (%.2fx), warm replay identical: %v\n",
-		raw, comp, doc.CompressionRatio, doc.WarmReplayIdentical)
+	fmt.Printf("compression: %d raw -> %d stored bytes (%.0f bytes/KLOC), warm replay identical: %v\n",
+		raw, comp, doc.CompressionBytesPerKLOC, doc.WarmReplayIdentical)
 
 	fmt.Printf("cold single %0.1f ms vs cold fleet over warm remote %0.1f ms: %.1fx (gate: >= 5x)\n",
 		float64(doc.ColdSingleNS)/1e6, float64(doc.ColdFleetWarmRemoteNS)/1e6, doc.FleetSpeedup)

@@ -1,12 +1,12 @@
 // Package cache implements the persistent, content-addressed analysis
 // cache behind incremental re-checking. One entry stores the complete
 // observable outcome of checking one module (its retained diagnostics,
-// suppression count, parse/sema errors, and serialized interface library),
-// keyed by a hash of the preprocessed module source plus the checker
-// version and flag fingerprint. A module whose key is present and whose
-// recorded interface dependencies still match the current interface
-// library replays the stored outcome without lexing, parsing, or checking
-// — the production form of the paper's §7 argument that modular,
+// suppression count, parse/sema errors, and serialized interface library)
+// as one binary record (record.go), keyed by a hash of the preprocessed
+// module source plus the checker version and flag fingerprint. A module
+// whose key is present and whose recorded interface dependencies still
+// match the current interface library replays the stored outcome without
+// lexing, parsing, or checking — the production form of the paper's §7 argument that modular,
 // annotation-driven analysis makes re-checks cost only what changed.
 //
 // Robustness contract: the cache can only ever make a run faster, never
@@ -20,7 +20,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"os"
@@ -36,10 +35,6 @@ import (
 	"golclint/internal/ctoken"
 	"golclint/internal/diag"
 )
-
-// entrySchema names the on-disk entry format; entries written under any
-// other schema are treated as misses.
-const entrySchema = "golclint-cache/v1"
 
 // Store is the entry-store abstraction the checker caches through: Get
 // answers whether a key's outcome is known, Put records one. Implementations
@@ -220,16 +215,17 @@ type Entry struct {
 	// emission order.
 	ParseErrors []string
 	SemaErrors  []string
-	// Deps maps every identifier the module mentions to the interface
-	// fingerprint that symbol had in the library the module was checked
-	// against ("" when the symbol was absent). A hit is valid only while
-	// every recorded fingerprint still matches (DepsMatch), which is what
-	// invalidates dependents transitively when a module's interface
-	// changes.
-	Deps map[string]string
+	// Deps records, for every identifier the module mentions, the
+	// interface fingerprint that symbol had in the library the module was
+	// checked against ("" when the symbol was absent). A hit is valid only
+	// while every recorded fingerprint still matches (DepsMatch), which is
+	// what invalidates dependents transitively when a module's interface
+	// changes. Sorted by name, each name once.
+	Deps []Dep
 	// Library is the module's own serialized interface library (gob, see
 	// internal/library), so dependents of a cached module still have its
-	// interface facts without re-analyzing it.
+	// interface facts without re-analyzing it. The record stores these
+	// bytes as they are.
 	Library []byte
 	// Size is the entry's on-disk size in bytes, set by Get and Put (not
 	// stored).
@@ -244,24 +240,7 @@ type Entry struct {
 // FnStats are the per-function analysis counters stored with a function
 // sub-entry and replayed into the run's metrics on a hit.
 type FnStats struct {
-	Blocks int64 `json:"blocks"`
-	Edges  int64 `json:"edges"`
-	Merges int64 `json:"merges"`
-}
-
-// wireEntry is the on-disk JSON form of an Entry. Diagnostics use the
-// stable wire format from diag.Marshal; Library ([]byte) serializes as
-// base64 per encoding/json.
-type wireEntry struct {
-	Schema      string            `json:"schema"`
-	Key         string            `json:"key"`
-	Diags       json.RawMessage   `json:"diags"`
-	Suppressed  int               `json:"suppressed"`
-	ParseErrors []string          `json:"parse_errors,omitempty"`
-	SemaErrors  []string          `json:"sema_errors,omitempty"`
-	Deps        map[string]string `json:"deps,omitempty"`
-	Library     []byte            `json:"library,omitempty"`
-	Fn          *FnStats          `json:"fn,omitempty"`
+	Blocks, Edges, Merges int64
 }
 
 // Key computes the content-addressed entry key: a hash over the checker
@@ -335,6 +314,10 @@ func (k *KeyHasher) Sum() string {
 }
 
 // path shards entries by the key's first byte to keep directories small.
+// The ".json" suffix predates the binary record and is kept on purpose: a
+// directory an earlier build wrote then has its stale entries (misses
+// under the current frame magic) overwritten in place and counted against
+// the byte bound, not orphaned under another name.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
@@ -424,50 +407,6 @@ func (c *Cache) writeBytes(key string, b []byte) error {
 	return nil
 }
 
-// decodeEntry parses entry wire bytes back into an Entry. Any mismatch —
-// malformed JSON, wrong schema, wrong key, undecodable diagnostics — reads
-// as a miss, exactly like a corrupted entry file. Every Store shares this
-// wire form, so the same bytes decode identically whether they came from
-// disk or the resident memory store.
-func decodeEntry(key string, b []byte) (*Entry, bool) {
-	var w wireEntry
-	if err := json.Unmarshal(b, &w); err != nil {
-		return nil, false
-	}
-	if w.Schema != entrySchema || w.Key != key {
-		return nil, false
-	}
-	ds, err := diag.Unmarshal(w.Diags)
-	if err != nil {
-		return nil, false
-	}
-	return &Entry{
-		Diags:      ds,
-		Suppressed: w.Suppressed, ParseErrors: w.ParseErrors, SemaErrors: w.SemaErrors,
-		Deps: w.Deps, Library: w.Library, Fn: w.Fn,
-		Size: int64(len(b)),
-	}, true
-}
-
-// encodeEntry renders e in the stable wire form (newline-terminated JSON)
-// shared by every Store.
-func encodeEntry(key string, e *Entry) ([]byte, error) {
-	raw, err := diag.Marshal(e.Diags)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(wireEntry{
-		Schema: entrySchema, Key: key,
-		Diags:      raw,
-		Suppressed: e.Suppressed, ParseErrors: e.ParseErrors, SemaErrors: e.SemaErrors,
-		Deps: e.Deps, Library: e.Library, Fn: e.Fn,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // Put stores e under key, atomically, framed (compressed + checksummed).
 // It returns the bytes written (also recorded in e.Size). A nil cache
 // discards the write.
@@ -496,9 +435,9 @@ func (c *Cache) Put(key string, e *Entry) (int64, error) {
 // entry still holds against the current interface fingerprints. Symbols
 // absent from current read as "", so a symbol appearing in — or vanishing
 // from — the library invalidates exactly the entries that mention it.
-func DepsMatch(recorded, current map[string]string) bool {
-	for name, fp := range recorded {
-		if current[name] != fp {
+func DepsMatch(recorded []Dep, current map[string]string) bool {
+	for _, d := range recorded {
+		if current[d.Name] != d.FP {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func testEntry() *Entry {
 		Suppressed:  3,
 		ParseErrors: []string{"m.c:2: stray token"},
 		SemaErrors:  []string{"m.c:3: redefinition of f"},
-		Deps:        map[string]string{"helper": "fp1", "gone": ""},
+		Deps:        []Dep{{"gone", ""}, {"helper", "fp1"}},
 		Library:     []byte{0x01, 0x02, 0xfe},
 	}
 }
@@ -57,7 +58,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if len(got.SemaErrors) != 1 || got.SemaErrors[0] != want.SemaErrors[0] {
 		t.Errorf("sema errors = %v", got.SemaErrors)
 	}
-	if got.Deps["helper"] != "fp1" || got.Deps["gone"] != "" {
+	if !slices.Equal(got.Deps, want.Deps) {
 		t.Errorf("deps = %v", got.Deps)
 	}
 	if string(got.Library) != string(want.Library) {
@@ -106,7 +107,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			}
 		})
 	}
-	// Payload-level corruption: rewrite the JSON inside the frame so it
+	// Payload-level corruption: rewrite the record inside the frame so it
 	// still deframes cleanly but decodes to a stale or foreign entry.
 	raw, ok := deframeBlob(good)
 	if !ok {
@@ -179,7 +180,7 @@ func TestKeyDiscrimination(t *testing.T) {
 }
 
 func TestDepsMatch(t *testing.T) {
-	rec := map[string]string{"f": "h1", "g": ""}
+	rec := []Dep{{"f", "h1"}, {"g", ""}}
 	if !DepsMatch(rec, map[string]string{"f": "h1"}) {
 		t.Error("matching deps rejected")
 	}
@@ -189,7 +190,7 @@ func TestDepsMatch(t *testing.T) {
 	if DepsMatch(rec, map[string]string{"f": "h1", "g": "new"}) {
 		t.Error("newly appearing symbol accepted")
 	}
-	if DepsMatch(map[string]string{"f": "h1"}, nil) {
+	if DepsMatch([]Dep{{"f", "h1"}}, nil) {
 		t.Error("vanished symbol accepted")
 	}
 	if !DepsMatch(nil, map[string]string{"x": "y"}) {

@@ -9,8 +9,9 @@ import (
 	"time"
 )
 
-// Every stored entry is framed, so a bare-JSON file under a key (the
-// format from before framing) is not an entry: it reads as a miss.
+// Every stored entry is framed, so a bare record under a key (the form the
+// memory store keeps, as a bare-JSON entry was before framing) is not an
+// entry: it reads as a miss.
 func TestBareJSONEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -30,7 +31,7 @@ func TestBareJSONEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, ok := c.Get(key); ok {
-		t.Fatalf("bare-JSON entry hit: %+v", got)
+		t.Fatalf("bare record hit: %+v", got)
 	}
 	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 {
 		t.Errorf("hits/misses = %d/%d, want 0/1", s.Hits, s.Misses)

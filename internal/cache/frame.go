@@ -12,11 +12,11 @@ import (
 // Blob framing. Every entry persisted on disk or shipped over the blob
 // protocol travels inside a self-verifying frame:
 //
-//	magic   "glcb1\n"            (6 bytes)
+//	magic   "glcb2\n"            (6 bytes)
 //	rawLen  uint64 little-endian (decompressed payload length)
 //	compLen uint64 little-endian (compressed payload length)
 //	sum     sha256(compressed)   (32 bytes)
-//	payload flate(entry wire bytes, preset dict frameDict), compLen bytes
+//	payload flate(entry record, preset dict frameDict), compLen bytes
 //
 // The payload is a raw DEFLATE stream primed with the frameDict preset
 // dictionary (see frame_dict.go): cache entries are small and share most
@@ -29,7 +29,7 @@ import (
 // contract: every malformed frame reads as a miss, never an error, so a
 // hostile or broken blob server can only make runs slower, not wrong.
 const (
-	frameMagic  = "glcb1\n"
+	frameMagic  = "glcb2\n"
 	frameHeader = len(frameMagic) + 8 + 8 + sha256.Size
 
 	// maxFrameBytes bounds what deframeBlob will touch: a frame advertising
@@ -61,7 +61,7 @@ var inflaters = sync.Pool{New: func() any {
 	return f
 }}
 
-// frameBlob wraps raw entry bytes in the compressed, checksummed wire
+// frameBlob wraps an entry record in the compressed, checksummed wire
 // frame. It never fails: flate over a byte slice cannot error.
 func frameBlob(raw []byte) []byte {
 	var comp bytes.Buffer

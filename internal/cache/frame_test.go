@@ -27,9 +27,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// Frame bytes are frozen: stores written by earlier builds must keep
-// hitting, so these digests never change. Each frame is built twice to
-// show framing keeps no state from one frame to the next.
+// Frame bytes are frozen: a store written by an earlier build of the same
+// frame format must keep hitting, so these digests change only with the
+// format (the magic and the dictionary). Each frame is built twice to show
+// framing keeps no state from one frame to the next.
 func TestFramePinned(t *testing.T) {
 	key := Key("v1", "", map[string]string{"a.c": "int x;"})
 	entry, err := encodeEntry(key, testEntry())
@@ -40,9 +41,9 @@ func TestFramePinned(t *testing.T) {
 		raw  []byte
 		want string
 	}{
-		{entry, "fd5da8f783e7bed015261debf05d0592e15c860f9461d5316431263911a34c0c"},
-		{nil, "2347787ca32c998778b218b0e24df1d27f4254fde0d0912481ff999fb356402c"},
-		{bytes.Repeat([]byte("abcdefgh"), 1<<12), "e3c1ff9bc0c8c5e3cf0447ea684f2a0e2cbb3ea095bb241b46ea6628084b3c1a"},
+		{entry, "54f6cce3bb333449f71168d74dd63488f066ae1549a40c22f0278aa0ad3dd1ff"},
+		{nil, "07f966e24ff58f5b2ecb72a9e296d15f7e8219b9c7df7c265715349c8566ca2b"},
+		{bytes.Repeat([]byte("abcdefgh"), 1<<12), "979d581d5cc60b029425983450ed593551ba182f559f9fff09142183d3abfebc"},
 	} {
 		for rep := 0; rep < 2; rep++ {
 			if got := fmt.Sprintf("%x", sha256.Sum256(frameBlob(c.raw))); got != c.want {
@@ -53,7 +54,7 @@ func TestFramePinned(t *testing.T) {
 }
 
 func TestFrameCompresses(t *testing.T) {
-	// Cache entries are JSON: highly repetitive. The frame must beat the raw
+	// Cache records are highly repetitive. The frame must beat the raw
 	// size on anything resembling a real entry.
 	raw := bytes.Repeat([]byte(`{"code":"leak","pos":{"file":"m.c","line":9}}`), 200)
 	b := frameBlob(raw)

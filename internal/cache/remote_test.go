@@ -269,7 +269,7 @@ func TestStoreConcurrentGets(t *testing.T) {
 		key := Key("v1", "", map[string]string{"m.c": fmt.Sprintf("int x%d;", i)})
 		e := testEntry()
 		e.Suppressed = i
-		e.Deps = map[string]string{fmt.Sprintf("f%d", i): "fp"}
+		e.Deps = []Dep{{fmt.Sprintf("f%d", i), "fp"}}
 		raw, err := encodeEntry(key, e)
 		if err != nil {
 			t.Fatal(err)

@@ -12,27 +12,88 @@ import (
 const DefaultMemLimit = 256 << 20
 
 // MemStore is the resident in-memory Store behind the analysis server's
-// warm path. Entries are held in the same wire-byte form the disk cache
-// writes and decoded afresh on every Get, which buys two properties at
-// once: a hit hands each caller its own Entry (concurrent requests can
-// never alias or mutate one another's diagnostics), and a caller that does
-// mutate its copy cannot poison the store. The byte images are immutable
-// after Put, so Gets run under a read lock only.
+// warm path. Entries are held as unframed records (record.go) and decoded
+// afresh on every Get, which buys two properties at once: a hit hands each
+// caller its own Entry (concurrent requests can never alias or mutate one
+// another's diagnostics), and a caller that does mutate its copy cannot
+// poison the store. The byte images are immutable after Put, so Gets run
+// under a read lock only.
+//
+// A record is kept without its interface library, which is held once per
+// distinct content and shared by every entry that carries it. The library
+// is most of a module record, and it does not change when an edit stays
+// inside function bodies, so a daemon serving an edit loop would
+// otherwise keep one copy of the same library per edited version of a
+// module.
 //
 // A nil *MemStore is valid and behaves as an always-miss, discard-writes
 // store, mirroring the nil *Cache contract.
 type MemStore struct {
 	mu      sync.RWMutex
-	entries map[string][]byte
-	bytes   int64
+	entries map[string]memEntry
+	libs    map[string]libShare // by library bytes
+	bytes   int64               // records plus each distinct library once
 	limit   int64
 
 	hits, misses, evictions atomic.Int64
 }
 
+// memEntry is one resident entry: its record, encoded with an empty
+// library, and its library.
+type memEntry struct {
+	rec []byte
+	lib string
+}
+
+// size is what the entry holds: its record without the library, plus the
+// library.
+func (me memEntry) size() int64 { return int64(len(me.rec) + len(me.lib)) }
+
+// libShare is the resident copy of one library and the number of entries
+// sharing it.
+type libShare struct {
+	lib  string
+	refs int
+}
+
 // NewMemStore returns an empty store bounded at DefaultMemLimit.
 func NewMemStore() *MemStore {
-	return &MemStore{entries: map[string][]byte{}, limit: DefaultMemLimit}
+	return &MemStore{entries: map[string]memEntry{}, libs: map[string]libShare{}, limit: DefaultMemLimit}
+}
+
+// removeLocked drops key's entry, and its library once no entry shares it.
+func (m *MemStore) removeLocked(key string) {
+	me, ok := m.entries[key]
+	if !ok {
+		return
+	}
+	delete(m.entries, key)
+	m.bytes -= int64(len(me.rec))
+	share := m.libs[me.lib]
+	if share.refs--; share.refs > 0 {
+		m.libs[me.lib] = share
+		return
+	}
+	delete(m.libs, me.lib)
+	m.bytes -= int64(len(me.lib))
+}
+
+// evictLocked removes arbitrary entries other than keep until the store
+// fits its limit (cache entries are content-addressed and reproducible,
+// so eviction order affects only warmth, never correctness).
+func (m *MemStore) evictLocked(keep string) {
+	if m.limit <= 0 {
+		return
+	}
+	for k := range m.entries {
+		if m.bytes <= m.limit {
+			return
+		}
+		if k != keep {
+			m.removeLocked(k)
+			m.evictions.Add(1)
+		}
+	}
 }
 
 // SetLimit rebounds the store's resident bytes (0 or negative = unlimited).
@@ -42,17 +103,7 @@ func (m *MemStore) SetLimit(bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.limit = bytes
-	if bytes <= 0 {
-		return
-	}
-	for k, old := range m.entries {
-		if m.bytes <= bytes {
-			break
-		}
-		m.bytes -= int64(len(old))
-		delete(m.entries, k)
-		m.evictions.Add(1)
-	}
+	m.evictLocked("")
 }
 
 // Get implements Store. The returned Entry is freshly decoded and owned by
@@ -62,27 +113,31 @@ func (m *MemStore) Get(key string) (*Entry, bool) {
 		return nil, false
 	}
 	m.mu.RLock()
-	b, ok := m.entries[key]
+	me, ok := m.entries[key]
 	m.mu.RUnlock()
 	if !ok {
 		m.misses.Add(1)
 		return nil, false
 	}
-	e, ok := decodeEntry(key, b)
+	e, ok := decodeEntry(key, me.rec)
 	if !ok {
 		// Unreachable for bytes produced by Put, but keep the disk cache's
 		// contract: corruption is a miss, never an error.
 		m.misses.Add(1)
 		return nil, false
 	}
+	if me.lib != "" {
+		e.Library = []byte(me.lib)
+	}
+	e.Size = me.size()
 	m.hits.Add(1)
 	return e, true
 }
 
 // Put implements Store. When inserting would exceed the byte limit,
-// arbitrary entries are evicted first (cache entries are content-addressed
-// and reproducible, so eviction order affects only warmth, never
-// correctness); an entry larger than the whole limit is discarded.
+// arbitrary other entries are evicted; an entry larger than the whole
+// limit is discarded. The reported size counts the entry's library whether
+// or not another entry already shares it.
 func (m *MemStore) Put(key string, e *Entry) (int64, error) {
 	if m == nil {
 		return 0, nil
@@ -90,36 +145,30 @@ func (m *MemStore) Put(key string, e *Entry) (int64, error) {
 	if key == "" {
 		return 0, fmt.Errorf("mem store put: empty key")
 	}
-	b, err := encodeEntry(key, e)
+	bare := *e
+	bare.Library = nil
+	rec, err := encodeEntry(key, &bare)
 	if err != nil {
 		return 0, fmt.Errorf("mem store put: %w", err)
 	}
-	e.Size = int64(len(b))
+	e.Size = int64(len(rec) + len(e.Library))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.entries[key]; ok {
-		m.bytes -= int64(len(old))
+	m.removeLocked(key)
+	if m.limit > 0 && e.Size > m.limit {
+		return 0, nil
 	}
-	if m.limit > 0 {
-		if int64(len(b)) > m.limit {
-			delete(m.entries, key)
-			return 0, nil
-		}
-		for k, old := range m.entries {
-			if m.bytes+int64(len(b)) <= m.limit {
-				break
-			}
-			if k == key {
-				continue
-			}
-			m.bytes -= int64(len(old))
-			delete(m.entries, k)
-			m.evictions.Add(1)
-		}
+	share, ok := m.libs[string(e.Library)]
+	if !ok {
+		share.lib = string(e.Library)
+		m.bytes += int64(len(share.lib))
 	}
-	m.entries[key] = b
-	m.bytes += int64(len(b))
-	return int64(len(b)), nil
+	share.refs++
+	m.libs[share.lib] = share
+	m.entries[key] = memEntry{rec: rec, lib: share.lib}
+	m.bytes += int64(len(rec))
+	m.evictLocked(key)
+	return e.Size, nil
 }
 
 // StoreStats is a point-in-time snapshot of one store layer's counters —
@@ -194,7 +243,8 @@ func (l *Layered) Get(key string) (*Entry, bool) {
 	return e, true
 }
 
-// Put implements Store; the reported size is the entry's wire length.
+// Put implements Store; the reported size is the larger of the two
+// layers' stored lengths.
 func (l *Layered) Put(key string, e *Entry) (int64, error) {
 	var n int64
 	var err error

@@ -439,14 +439,19 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		}
 		// Record the interface fingerprint of every identifier the module
 		// mentions ("" for symbols the library does not supply): the entry
-		// stays valid exactly until one of those facts changes.
-		deps := map[string]string{}
-		for i := range names {
-			for _, id := range cache.Identifiers(fronts[i].expanded) {
-				deps[id] = opt.CacheDeps[id]
+		// stays valid exactly until one of those facts changes. The function
+		// layer has already lexed every byte for its identifier sets, so its
+		// union is reused rather than scanning the module again.
+		var ids []string
+		if fnc != nil {
+			ids = fnc.idents
+		} else {
+			for i := range names {
+				ids = append(ids, cache.Identifiers(fronts[i].expanded)...)
 			}
+			ids = sortedSet(ids)
 		}
-		entry.Deps = deps
+		entry.Deps = depsOf(ids, func(id string) string { return opt.CacheDeps[id] })
 		if opt.CacheExport != nil && prog != nil {
 			if b, err := opt.CacheExport(prog); err == nil {
 				entry.Library = b

@@ -21,6 +21,7 @@ package core
 // run faster, never different.
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -64,6 +65,12 @@ type fnCacheCtx struct {
 	keys  []string
 	hits  []*cache.Entry // non-nil => replay instead of checking
 
+	// idents is the module's sorted identifier set — the union of the
+	// function spans' sets and the skeleton's identifiers, which is
+	// cache.Identifiers over every expanded file — for the module entry's
+	// dependencies.
+	idents []string
+
 	// Cold-function outputs, filled during checking and stored after
 	// validation.
 	results [][]*diag.Diagnostic
@@ -80,6 +87,7 @@ type segment struct {
 	open       int    // offset of the depth-0 '{', or -1
 	posFile    string // logical position of the first token
 	posLine    int
+	idents     []string // identifier tokens, in source order, repeats kept
 }
 
 // segmentFile splits one expanded file into top-level segments by lexing
@@ -87,7 +95,9 @@ type segment struct {
 // '}' that returns the depth to 0. Comments and whitespace between
 // segments belong to no segment (suppression comments re-parse every run
 // and apply at merge time, so they need no invalidation). Returns ok=false
-// on lexical errors or unbalanced braces.
+// on lexical errors or unbalanced braces. The same lexing pass records
+// each segment's identifiers, so no byte of a module that reaches the
+// function layer is lexed again for its identifier sets.
 func segmentFile(name, src string) (segs []segment, ok bool) {
 	lx := ctoken.NewLexer(name, src)
 	depth := 0
@@ -103,6 +113,8 @@ func segmentFile(name, src string) (segs []segment, ok bool) {
 			pending = false
 		}
 		switch t.Kind {
+		case ctoken.Ident:
+			cur.idents = append(cur.idents, t.Text)
 		case ctoken.LBrace:
 			if depth == 0 {
 				cur.open = int(t.Pos.Off)
@@ -187,23 +199,27 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 			matched[si] = true
 			s := segs[si]
 			text := fronts[ui].expanded[s.start:s.end]
+			idents := sortedSet(s.idents)
 			all = append(all, spanned{fn: f, sp: fnSpanInfo{
 				text: text, unit: names[ui],
 				posFile: s.posFile, posLine: s.posLine,
-				idents: cache.Identifiers(text),
+				idents: idents,
 			}})
+			ctx.idents = append(ctx.idents, idents...)
 		}
 		skh.Component(names[ui])
 		for si, s := range segs {
 			if matched[si] {
 				continue
 			}
+			ctx.idents = append(ctx.idents, s.idents...)
 			skh.Component(s.posFile)
 			skh.Component(strconv.Itoa(s.posLine))
 			skh.Component(fronts[ui].expanded[s.start:s.end])
 		}
 	}
 	skeleton := skh.Sum()
+	ctx.idents = sortedSet(ctx.idents)
 
 	n := len(all)
 	ctx.fns = make([]*cast.FuncDef, n)
@@ -252,11 +268,27 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 	return ctx
 }
 
+// sortedSet sorts ids and drops repeats, in place.
+func sortedSet(ids []string) []string {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// depsOf records the interface fingerprint of each of the sorted, distinct
+// names, as a cache entry's Deps.
+func depsOf(names []string, fp func(string) string) []cache.Dep {
+	deps := make([]cache.Dep, len(names))
+	for i, n := range names {
+		deps[i] = cache.Dep{Name: n, FP: fp(n)}
+	}
+	return deps
+}
+
 // depsHold reports whether every interface fingerprint a sub-entry
 // recorded still matches the current environment.
-func (ctx *fnCacheCtx) depsHold(deps map[string]string) bool {
-	for name, fp := range deps {
-		if ctx.env(name) != fp {
+func (ctx *fnCacheCtx) depsHold(deps []cache.Dep) bool {
+	for _, d := range deps {
+		if ctx.env(d.Name) != d.FP {
 			return false
 		}
 	}
@@ -328,24 +360,19 @@ func (ctx *fnCacheCtx) finish() {
 		if ctx.hits[i] != nil {
 			continue
 		}
-		deps := map[string]string{}
-		record := func(name string) { deps[name] = ctx.env(name) }
 		// The lexical identifier set over-approximates most of the
 		// use-set; the names recorded during checking (callee and global
 		// lookups) close the gap for symbols consulted through
 		// interface-declared indirection (a globals clause, say), and the
 		// function's own name covers its signature and globals list.
-		for _, id := range ctx.spans[i].idents {
-			record(id)
-		}
-		record(ctx.fns[i].Name)
+		names := append(slices.Clone(ctx.spans[i].idents), ctx.fns[i].Name)
 		for name := range ctx.uses[i] {
-			record(name)
+			names = append(names, name)
 		}
 		st := ctx.stats[i]
 		ctx.store.Put(ctx.keys[i], &cache.Entry{
 			Diags: ctx.results[i],
-			Deps:  deps,
+			Deps:  depsOf(sortedSet(names), ctx.env),
 			Fn:    &cache.FnStats{Blocks: st.Blocks, Edges: st.Edges, Merges: st.Merges},
 		})
 	}

@@ -199,19 +199,6 @@ func ParseValidationTag(name string) (ValidationTag, bool) {
 	return ValidationNone, false
 }
 
-// MarshalText implements encoding.TextMarshaler.
-func (t ValidationTag) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (t *ValidationTag) UnmarshalText(b []byte) error {
-	parsed, ok := ParseValidationTag(string(b))
-	if !ok {
-		return fmt.Errorf("unknown validation tag %q", b)
-	}
-	*t = parsed
-	return nil
-}
-
 // Validation records the outcome of counterexample validation for one
 // diagnostic: the tag plus a human-readable detail line (the reproducing
 // harness input, or why no input reproduced the fault).
@@ -227,12 +214,67 @@ type Diagnostic struct {
 	Msg   string
 	Notes []Note
 	// Prov is the optional witness path (-explain). It is excluded from
-	// String, carried through the cache wire format, and compared by Equal.
+	// String, carried through the cache record, and compared by Equal.
 	Prov *Provenance
 	// Validation is the optional counterexample-validation outcome
 	// (-validate). Like Prov it is excluded from String, carried through
-	// the cache wire format, and compared by Equal.
+	// the cache record, and compared by Equal.
 	Validation *Validation
+}
+
+// Equal reports whether two diagnostics are identical, notes included.
+// Compare only orders by (pos, code, msg); Equal is the full-field check the
+// serialization round-trip and cache-replay tests rely on.
+func Equal(a, b *Diagnostic) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Code != b.Code || a.Pos != b.Pos || a.Msg != b.Msg || len(a.Notes) != len(b.Notes) {
+		return false
+	}
+	for i := range a.Notes {
+		if a.Notes[i] != b.Notes[i] {
+			return false
+		}
+	}
+	return equalProv(a.Prov, b.Prov) && equalValidation(a.Validation, b.Validation)
+}
+
+// equalValidation compares two validation records field-for-field.
+func equalValidation(a, b *Validation) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// equalProv compares two witness paths field-for-field.
+func equalProv(a, b *Provenance) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Ref != b.Ref || len(a.Steps) != len(b.Steps) {
+		return false
+	}
+	for i := range a.Steps {
+		if a.Steps[i] != b.Steps[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// EqualAll reports whether two diagnostic slices are element-wise Equal.
+func EqualAll(a, b []*Diagnostic) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // WithNote appends a secondary note and returns d for chaining.

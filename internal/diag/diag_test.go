@@ -240,3 +240,64 @@ func TestCodeNamesRoundTrip(t *testing.T) {
 		t.Error("UnmarshalText accepted an unknown name")
 	}
 }
+
+func TestEqual(t *testing.T) {
+	base := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3, Col: 2}, Msg: "m",
+		Notes: []Note{{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 1}, Msg: "n"}}}
+	same := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3, Col: 2}, Msg: "m",
+		Notes: []Note{{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 1}, Msg: "n"}}}
+	if !Equal(base, same) {
+		t.Error("identical diagnostics compare unequal")
+	}
+	diffNote := &Diagnostic{Code: Leak, Pos: base.Pos, Msg: "m",
+		Notes: []Note{{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 2}, Msg: "n"}}}
+	if Equal(base, diffNote) {
+		t.Error("note difference not detected")
+	}
+	if Equal(base, nil) || !Equal(nil, nil) {
+		t.Error("nil handling wrong")
+	}
+	// Equal compares witnesses and validation records too: a warm
+	// -explain or -validate run replays them verbatim.
+	withProv := func() *Diagnostic {
+		d := *base
+		d.Prov = &Provenance{Ref: "p", Steps: []ProvStep{
+			{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Kind: "entry", Msg: "checking function f"},
+			{Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 10}, Kind: "alloc", Msg: "fresh storage allocated"},
+		}}
+		d.Validation = &Validation{Tag: Confirmed, Detail: "f(0) faults"}
+		return &d
+	}
+	if !Equal(withProv(), withProv()) {
+		t.Error("identical witnesses compare unequal")
+	}
+	mut := withProv()
+	mut.Prov.Steps[1].Kind = "release"
+	if Equal(withProv(), mut) {
+		t.Error("witness step difference not detected")
+	}
+	none := withProv()
+	none.Prov = nil
+	if Equal(withProv(), none) {
+		t.Error("missing provenance not detected")
+	}
+	tag := withProv()
+	tag.Validation.Tag = Unreproduced
+	if Equal(withProv(), tag) {
+		t.Error("validation tag difference not detected")
+	}
+}
+
+// String must ignore provenance: default output is byte-identical whether
+// or not witnesses were recorded.
+func TestStringIgnoresProvenance(t *testing.T) {
+	plain := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Msg: "m"}
+	traced := &Diagnostic{Code: Leak, Pos: ctoken.Pos{File: ctoken.FileOf("a.c"), Line: 3}, Msg: "m",
+		Prov: &Provenance{Ref: "p", Steps: []ProvStep{{Kind: "entry", Msg: "f"}}}}
+	if plain.String() != traced.String() {
+		t.Errorf("String differs with provenance attached: %q vs %q", plain.String(), traced.String())
+	}
+	if traced.Explain() == traced.String() {
+		t.Error("Explain did not append the witness")
+	}
+}

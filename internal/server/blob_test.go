@@ -30,7 +30,7 @@ func blobEntry() *cache.Entry {
 			{Code: diag.Leak, Pos: ctoken.Pos{File: ctoken.FileOf("m.c"), Line: 9}, Msg: "Only storage p not released"},
 		},
 		Suppressed: 1,
-		Deps:       map[string]string{"helper": "fp1"},
+		Deps:       []cache.Dep{{Name: "helper", FP: "fp1"}},
 	}
 }
 

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"strconv"
+
+	"golclint/internal/cache"
 )
 
 // flight is one in-progress computation that concurrent identical requests
@@ -13,14 +13,36 @@ type flight struct {
 	body []byte
 }
 
-// requestKey canonicalizes a request for coalescing. encoding/json sorts
-// map keys, so two requests with the same content hash identically
-// regardless of construction order; the hash keeps the in-flight table's
-// keys small even for multi-megabyte requests.
+// requestKey canonicalizes a request for coalescing: every field streams
+// into one SHA-256, maps in sorted key order with their sizes, and every
+// component length-prefixed as cache.KeyHasher does, so two requests with
+// the same content hash identically regardless of construction order. It
+// hashes the request in place: serializing a whole request only to hash
+// it had cost a copy of every source on every request, memo repeats
+// included. The hash keeps the in-flight table's keys small even for
+// multi-megabyte requests.
 func requestKey(req *CheckRequest) string {
-	b, _ := json.Marshal(req) // CheckRequest always marshals
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	h := cache.NewKeyHasher("check-request", "")
+	files := func(m map[string]string) {
+		h.Component(strconv.Itoa(len(m)))
+		for _, n := range sortedNames(m) {
+			h.Component(n)
+			h.Component(m[n])
+		}
+	}
+	files(req.Files)
+	h.Component(strconv.Itoa(len(req.Modules)))
+	for _, n := range sortedNames(req.Modules) {
+		h.Component(n)
+		files(req.Modules[n])
+	}
+	files(req.Headers)
+	h.Component(req.Flags)
+	h.Component(strconv.Itoa(req.Jobs))
+	h.Component(strconv.FormatBool(req.Explain))
+	h.Component(strconv.FormatBool(req.Validate))
+	h.Component(strconv.Itoa(req.Max))
+	return h.Sum()
 }
 
 // coalesce runs compute for key at most once across concurrent callers

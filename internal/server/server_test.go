@@ -383,6 +383,64 @@ func TestRequestKeyCanonical(t *testing.T) {
 	}
 }
 
+// Every field of a request reaches its key: changing any one of them, a
+// file name, or a single source byte gives another key, and moving an
+// entry from one map to another does too. Map construction order does not.
+func TestRequestKeyDiscrimination(t *testing.T) {
+	base := func() *CheckRequest {
+		return &CheckRequest{
+			Files:   map[string]string{"a.c": "int x;", "b.c": "int y;"},
+			Modules: map[string]map[string]string{"m": {"m.c": "int z;"}, "n": {"n.c": "int w;"}},
+			Headers: map[string]string{"h.h": "extern int x;"},
+			Flags:   "+null", Jobs: 2, Explain: true, Validate: true, Max: 5,
+		}
+	}
+	want := requestKey(base())
+	variants := map[string]func(r *CheckRequest){
+		"file-byte":      func(r *CheckRequest) { r.Files["a.c"] = "int X;" },
+		"file-name":      func(r *CheckRequest) { r.Files["c.c"] = r.Files["a.c"]; delete(r.Files, "a.c") },
+		"file-dropped":   func(r *CheckRequest) { delete(r.Files, "b.c") },
+		"module-byte":    func(r *CheckRequest) { r.Modules["m"]["m.c"] = "int Z;" },
+		"module-name":    func(r *CheckRequest) { r.Modules["o"] = r.Modules["m"]; delete(r.Modules, "m") },
+		"module-file":    func(r *CheckRequest) { r.Modules["m"]["o.c"] = r.Modules["m"]["m.c"]; delete(r.Modules["m"], "m.c") },
+		"header-byte":    func(r *CheckRequest) { r.Headers["h.h"] = "extern int X;" },
+		"file-to-header": func(r *CheckRequest) { r.Headers["a.c"] = r.Files["a.c"]; delete(r.Files, "a.c") },
+		"module-split": func(r *CheckRequest) {
+			r.Modules["m"]["n.c"] = r.Modules["n"]["n.c"]
+			delete(r.Modules, "n")
+		},
+		"flags":    func(r *CheckRequest) { r.Flags = "-null" },
+		"jobs":     func(r *CheckRequest) { r.Jobs = 3 },
+		"explain":  func(r *CheckRequest) { r.Explain = false },
+		"validate": func(r *CheckRequest) { r.Validate = false },
+		"max":      func(r *CheckRequest) { r.Max = 6 },
+	}
+	seen := map[string]string{want: "base"}
+	for name, mutate := range variants {
+		r := base()
+		mutate(r)
+		k := requestKey(r)
+		if other, dup := seen[k]; dup {
+			t.Errorf("%s: key equals %s's", name, other)
+		}
+		seen[k] = name
+	}
+	// Same content built in the opposite order.
+	r := &CheckRequest{
+		Files:   map[string]string{},
+		Modules: map[string]map[string]string{},
+		Headers: map[string]string{"h.h": "extern int x;"},
+		Flags:   "+null", Jobs: 2, Explain: true, Validate: true, Max: 5,
+	}
+	r.Modules["n"] = map[string]string{"n.c": "int w;"}
+	r.Modules["m"] = map[string]string{"m.c": "int z;"}
+	r.Files["b.c"] = "int y;"
+	r.Files["a.c"] = "int x;"
+	if requestKey(r) != want {
+		t.Error("construction order changed the key")
+	}
+}
+
 // A dirty single-function edit against the resident cache: only the edited
 // function re-checks, the rest replay, and the response matches a cold
 // server's answer on the same edited source byte for byte. Concurrent
