@@ -9,6 +9,7 @@
 //	-flags "+name -name ..."   checker flag toggles (see internal/flags)
 //	-I dir                     add an include directory (repeatable)
 //	-dump-lib file             write an interface library after checking
+//	                           (the run bypasses -cache-dir)
 //	-lib file                  load an interface library before checking
 //	                           (modular re-checking of the given files)
 //	-cfg function              print the function's control-flow graph

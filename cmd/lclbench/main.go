@@ -72,8 +72,9 @@ type benchMeta struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Commit is the build's vcs.revision; binaries built by `go run` carry
-	// none, so it is empty there.
+	// Commit is the build's vcs.revision, suffixed "+dirty" when built
+	// from a modified tree; binaries built by `go run` carry none, so it
+	// is empty there.
 	Commit string `json:"commit"`
 	// ElapsedNS is the experiment's end-to-end wall-clock time.
 	ElapsedNS int64 `json:"elapsed_ns"`
@@ -289,13 +290,28 @@ func runExperiment(e experiment, quick bool) (map[string]any, error) {
 // vcsRevision returns the commit the binary was built from, if stamped.
 func vcsRevision() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				return s.Value
-			}
-		}
+		return revisionOf(bi.Settings)
 	}
 	return ""
+}
+
+// revisionOf renders build settings' vcs.revision, with "+dirty" appended
+// when the tree it was built from had uncommitted changes, so a document
+// stamped from a modified tree is not taken for the commit's own.
+func revisionOf(settings []debug.BuildSetting) string {
+	rev, dirty := "", ""
+	for _, s := range settings {
+		switch {
+		case s.Key == "vcs.revision":
+			rev = s.Value
+		case s.Key == "vcs.modified" && s.Value == "true":
+			dirty = "+dirty"
+		}
+	}
+	if rev == "" {
+		return ""
+	}
+	return rev + dirty
 }
 
 func header(id, title string) {

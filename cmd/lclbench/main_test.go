@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"testing"
 )
 
@@ -111,6 +112,23 @@ func TestBenchParallelJSONEmission(t *testing.T) {
 		}
 		if got := fmt.Sprint(jobs); got != "[1 2 4]" {
 			t.Errorf("jobs ladder = %s, want [1 2 4]", got)
+		}
+	}
+}
+
+func TestRevisionOf(t *testing.T) {
+	rev := debug.BuildSetting{Key: "vcs.revision", Value: "c34cd0f"}
+	for _, c := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"clean", []debug.BuildSetting{rev, {Key: "vcs.modified", Value: "false"}}, "c34cd0f"},
+		{"dirty", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}, rev}, "c34cd0f+dirty"},
+		{"no revision", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+	} {
+		if got := revisionOf(c.settings); got != c.want {
+			t.Errorf("%s: revisionOf = %q, want %q", c.name, got, c.want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cache implements the persistent, content-addressed analysis
 // cache behind incremental re-checking. One entry stores the complete
 // observable outcome of checking one module (its retained diagnostics,
-// suppression count, parse/sema errors, and serialized interface library)
-// as one binary record (record.go), keyed by a hash of the preprocessed
+// suppression count, parse/sema errors, and interface dependencies) as
+// one binary record (record.go), keyed by a hash of the preprocessed
 // module source plus the checker version and flag fingerprint. A module
 // whose key is present and whose recorded interface dependencies still
 // match the current interface library replays the stored outcome without
@@ -222,11 +222,6 @@ type Entry struct {
 	// what invalidates dependents transitively when a module's interface
 	// changes. Sorted by name, each name once.
 	Deps []Dep
-	// Library is the module's own serialized interface library (gob, see
-	// internal/library), so dependents of a cached module still have its
-	// interface facts without re-analyzing it. The record stores these
-	// bytes as they are.
-	Library []byte
 	// Size is the entry's on-disk size in bytes, set by Get and Put (not
 	// stored).
 	Size int64

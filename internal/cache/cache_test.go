@@ -24,7 +24,6 @@ func testEntry() *Entry {
 		ParseErrors: []string{"m.c:2: stray token"},
 		SemaErrors:  []string{"m.c:3: redefinition of f"},
 		Deps:        []Dep{{"gone", ""}, {"helper", "fp1"}},
-		Library:     []byte{0x01, 0x02, 0xfe},
 	}
 }
 
@@ -60,9 +59,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if !slices.Equal(got.Deps, want.Deps) {
 		t.Errorf("deps = %v", got.Deps)
-	}
-	if string(got.Library) != string(want.Library) {
-		t.Errorf("library bytes = %v", got.Library)
 	}
 	if got.Size != n {
 		t.Errorf("Get size = %d, want %d", got.Size, n)

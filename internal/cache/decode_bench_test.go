@@ -44,7 +44,7 @@ func checkEntries(tb testing.TB, p *testgen.Program, explain bool) (*cache.MemSt
 	}
 	library.CheckModules(modules, sess.LibraryFor(p.Headers), core.Options{
 		Includes: cpp.MapIncluder(p.Headers), Jobs: 1, Explain: explain,
-		Cache: rec, CacheExport: library.ExportProgram, EnvFingerprint: library.SymbolFingerprints,
+		Cache: rec, EnvFingerprint: library.SymbolFingerprints,
 	})
 	return rec.MemStore, rec.entries
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -181,5 +182,39 @@ func TestGetBytesPutBytes(t *testing.T) {
 	}
 	if _, ok := c.GetBytes("00" + strings.Repeat("cd", 31)); ok {
 		t.Error("GetBytes hit on absent key")
+	}
+}
+
+// parentFrame is testEntry's record, without its library, as the previous
+// format (record schema golclint-cache/v2, frame magic glcb2) framed it
+// under parentFrameKey.
+const (
+	parentFrameKey = "07c68972acd9e11e2b9f6cad527622a6339c9a6bbb2e372516f12c349fbc7d0c"
+	parentFrame    = "676c6362320a1701000000000000cd000000000000006a356824fea6c303e303a2dc77b36f33ed9928b3b40c0bbe9ebf2db8b2e41bd77c963d4ec4301484edfcb18ba896662524e413acf0336be388928bd8cfcf1091b5232714b9154744a18006d14ef38d345f317f3c2c83fac91a70182c4949e06dd4e8c2198c06705a298bd669ef3d903270963a4a40f568a347131e905db3fb172a14a9504212398a29cff3e0c755a48f7114d3dd3f26defebaf7bd825b28d47192f5e58487cb097be8c5bc14b78a25bf533a6e91ea45a1407148c332e4b411e38f21fb8d19b63ed5ae3d349fbce2edeee6b966fbf6c81867ace31dbfaa9ad79c88756f344e541af6150000ffff"
+)
+
+// A frame in the previous format is not an entry: every framed store reads
+// it as a miss, and PutBytes refuses to store it.
+func TestParentFrameIsMiss(t *testing.T) {
+	b, err := hex.DecodeString(parentFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parentFrameKey != Key("v1", "", map[string]string{"a.c": "int x;"}) {
+		t.Fatal("parentFrameKey is not testEntry's key")
+	}
+	stores, set := blobStores(t)
+	set(parentFrameKey, b)
+	for name, st := range stores {
+		if e, ok := st.Get(parentFrameKey); ok {
+			t.Errorf("%s: previous-format frame hit: %+v", name, e)
+		}
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutBytes(parentFrameKey, b); err == nil {
+		t.Error("PutBytes accepted a previous-format frame")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Blob framing. Every entry persisted on disk or shipped over the blob
 // protocol travels inside a self-verifying frame:
 //
-//	magic   "glcb2\n"            (6 bytes)
+//	magic   "glcb3\n"            (6 bytes)
 //	rawLen  uint64 little-endian (decompressed payload length)
 //	compLen uint64 little-endian (compressed payload length)
 //	sum     sha256(compressed)   (32 bytes)
@@ -29,7 +29,7 @@ import (
 // contract: every malformed frame reads as a miss, never an error, so a
 // hostile or broken blob server can only make runs slower, not wrong.
 const (
-	frameMagic  = "glcb2\n"
+	frameMagic  = "glcb3\n"
 	frameHeader = len(frameMagic) + 8 + 8 + sha256.Size
 
 	// maxFrameBytes bounds what deframeBlob will touch: a frame advertising

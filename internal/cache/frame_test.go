@@ -41,9 +41,9 @@ func TestFramePinned(t *testing.T) {
 		raw  []byte
 		want string
 	}{
-		{entry, "54f6cce3bb333449f71168d74dd63488f066ae1549a40c22f0278aa0ad3dd1ff"},
-		{nil, "07f966e24ff58f5b2ecb72a9e296d15f7e8219b9c7df7c265715349c8566ca2b"},
-		{bytes.Repeat([]byte("abcdefgh"), 1<<12), "979d581d5cc60b029425983450ed593551ba182f559f9fff09142183d3abfebc"},
+		{entry, "66a513e6510bc109a137e7b1d9dca62b34a85540b03c87653372e0f32d1a1d94"},
+		{nil, "7375929f02ff73467a0455b33e92c08883566dbb94e664b4b9691d66e56d544d"},
+		{bytes.Repeat([]byte("abcdefgh"), 1<<12), "62e5cdf28dccf06823d4c3197a411e97f7e9a496476486b037aea6f1a0dc2e04"},
 	} {
 		for rep := 0; rep < 2; rep++ {
 			if got := fmt.Sprintf("%x", sha256.Sum256(frameBlob(c.raw))); got != c.want {

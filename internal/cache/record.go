@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -11,13 +10,11 @@ import (
 )
 
 // The entry record: the one wire form of an Entry, shared by every Store.
-// The memory store keeps it unframed, with the library held apart (see
-// MemStore); the disk cache and the remote store wrap it in a
-// checksummed, compressed frame (frame.go).
+// The memory store keeps it unframed; the disk cache and the remote store
+// wrap it in a checksummed, compressed frame (frame.go).
 //
 //	schema      the bytes of entrySchema
 //	key         str
-//	library     str (the library's bytes as they are)
 //	strings     count, then count × str: the string table
 //	diags       count, then count × diag
 //	suppressed  varint
@@ -47,7 +44,7 @@ import (
 
 // entrySchema tags the record format; a record under any other tag is a
 // miss.
-const entrySchema = "golclint-cache/v2"
+const entrySchema = "golclint-cache/v3"
 
 // Dep is one recorded interface dependency: a symbol the entry's source
 // mentions and the interface fingerprint it had when the entry was
@@ -179,11 +176,9 @@ func encodeEntry(key string, e *Entry) ([]byte, error) {
 		w.idx[s] = i
 	}
 
-	w.buf = make([]byte, 0, len(w.buf)+len(entrySchema)+len(key)+len(e.Library)+16*len(table)+64)
+	w.buf = make([]byte, 0, len(w.buf)+len(entrySchema)+len(key)+16*len(table)+64)
 	w.buf = append(w.buf, entrySchema...)
 	w.str(key)
-	w.uvarint(uint64(len(e.Library)))
-	w.buf = append(w.buf, e.Library...)
 	w.uvarint(uint64(len(table)))
 	for _, s := range table {
 		w.str(s)
@@ -192,15 +187,13 @@ func encodeEntry(key string, e *Entry) ([]byte, error) {
 	return w.buf, nil
 }
 
-// recordReader decodes one record. b is the record and s a copy of b from
-// offset base on — everything after the library — as one string, so every
-// decoded string is a substring of s and costs no allocation of its own. A
-// failed read sets bad and makes every later read return zero values, so a
-// decoder checks bad once per loop, not per read.
+// recordReader decodes one record. b is the record and s a copy of b as
+// one string, so every decoded string is a substring of s and costs no
+// allocation of its own. A failed read sets bad and makes every later read
+// return zero values, so a decoder checks bad once per loop, not per read.
 type recordReader struct {
 	b     []byte
 	s     string
-	base  int
 	off   int
 	bad   bool
 	table []string
@@ -258,24 +251,14 @@ func (r *recordReader) byte() byte {
 	return c
 }
 
-// bytes reads a str in place, as a slice of b.
-func (r *recordReader) bytes() []byte {
-	n := r.count()
-	if r.bad {
-		return nil
-	}
-	r.off += n
-	return r.b[r.off-n : r.off]
-}
-
-// str reads a str past base, as a substring of s.
+// str reads a str as a substring of s.
 func (r *recordReader) str() string {
 	n := r.count()
 	if r.bad {
 		return ""
 	}
 	r.off += n
-	return r.s[r.off-n-r.base : r.off-r.base]
+	return r.s[r.off-n : r.off]
 }
 
 func (r *recordReader) ref() (string, int) {
@@ -366,21 +349,17 @@ func (r *recordReader) refs() []string {
 // decodeEntry parses a record back into an Entry. Any mismatch — a wrong
 // schema or key, a truncated, oversized or non-canonical record, an
 // unknown code or tag — reads as a miss, exactly like a corrupted entry
-// file. The entry owns everything it holds: Library is a copy, and its
-// strings are substrings of one copy of the rest of b.
+// file. The entry owns everything it holds: its strings are substrings of
+// one copy of b.
 func decodeEntry(key string, b []byte) (*Entry, bool) {
 	if len(b) < len(entrySchema) || string(b[:len(entrySchema)]) != entrySchema {
 		return nil, false
 	}
-	r := &recordReader{b: b, off: len(entrySchema)}
-	if string(r.bytes()) != key || r.bad {
+	r := &recordReader{b: b, s: string(b), off: len(entrySchema)}
+	if r.str() != key || r.bad {
 		return nil, false
 	}
 	e := &Entry{Size: int64(len(b))}
-	if lib := r.bytes(); len(lib) > 0 {
-		e.Library = bytes.Clone(lib)
-	}
-	r.base, r.s = r.off, string(b[r.off:])
 
 	n := r.count()
 	r.table = make([]string, n)

@@ -154,7 +154,7 @@ func TestRecordPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(b)), "232f257ccbb448042846f868431b0dc0f353559e33c2e577e3b2931ac4d8bfdb"; got != want {
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(b)), "4146393623684d7c55f80f060539aae1f70c6f5bab728e03c1a328ec22a10642"; got != want {
 		t.Errorf("sha256 of the record = %s, want %s", got, want)
 	}
 }
@@ -167,7 +167,6 @@ func newRawRecord(key string, table ...string) *rawRecord {
 	r := &rawRecord{}
 	r.w.buf = append(r.w.buf, entrySchema...)
 	r.w.str(key)
-	r.w.uvarint(0) // no library
 	r.w.uvarint(uint64(len(table)))
 	for _, s := range table {
 		r.w.str(s)
@@ -215,7 +214,7 @@ func TestDecodeEntryRejectsCorruption(t *testing.T) {
 	if b, err := encodeEntry(recordKey, e); err != nil || !bytes.Equal(b, control) {
 		t.Fatalf("control record re-encodes to %q, want %q", b, control)
 	}
-	good, err := encodeEntry(recordKey, &Entry{Diags: explainedDiags(), Deps: []Dep{{"f", "1"}}, Library: []byte{1}})
+	good, err := encodeEntry(recordKey, &Entry{Diags: explainedDiags(), Deps: []Dep{{"f", "1"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +222,7 @@ func TestDecodeEntryRejectsCorruption(t *testing.T) {
 		"empty":           nil,
 		"extra-byte":      append(append([]byte(nil), good...), 0),
 		"old-schema":      append([]byte("golclint-cache/v1"), good[len(entrySchema):]...),
+		"v2-schema":       append([]byte("golclint-cache/v2"), good[len(entrySchema):]...),
 		"line-past-int32": oneDiag(1 << 31),
 		"col-past-int32":  newRawRecord(recordKey, "a.c", "m", "mustfree").u(1, 2, 0).i(1, -1<<31-1, 0).u(1, 0).raw(0).tail(),
 		"unknown-code":    newRawRecord(recordKey, "a.c", "m", "nosuchcode").u(1, 2, 0).i(1, 1, 0).u(1, 0).raw(0).tail(),

@@ -19,63 +19,28 @@ const DefaultMemLimit = 256 << 20
 // poison the store. The byte images are immutable after Put, so Gets run
 // under a read lock only.
 //
-// A record is kept without its interface library, which is held once per
-// distinct content and shared by every entry that carries it. The library
-// is most of a module record, and it does not change when an edit stays
-// inside function bodies, so a daemon serving an edit loop would
-// otherwise keep one copy of the same library per edited version of a
-// module.
-//
 // A nil *MemStore is valid and behaves as an always-miss, discard-writes
 // store, mirroring the nil *Cache contract.
 type MemStore struct {
 	mu      sync.RWMutex
-	entries map[string]memEntry
-	libs    map[string]libShare // by library bytes
-	bytes   int64               // records plus each distinct library once
+	entries map[string][]byte // records by key
+	bytes   int64
 	limit   int64
 
 	hits, misses, evictions atomic.Int64
 }
 
-// memEntry is one resident entry: its record, encoded with an empty
-// library, and its library.
-type memEntry struct {
-	rec []byte
-	lib string
-}
-
-// size is what the entry holds: its record without the library, plus the
-// library.
-func (me memEntry) size() int64 { return int64(len(me.rec) + len(me.lib)) }
-
-// libShare is the resident copy of one library and the number of entries
-// sharing it.
-type libShare struct {
-	lib  string
-	refs int
-}
-
 // NewMemStore returns an empty store bounded at DefaultMemLimit.
 func NewMemStore() *MemStore {
-	return &MemStore{entries: map[string]memEntry{}, libs: map[string]libShare{}, limit: DefaultMemLimit}
+	return &MemStore{entries: map[string][]byte{}, limit: DefaultMemLimit}
 }
 
-// removeLocked drops key's entry, and its library once no entry shares it.
+// removeLocked drops key's entry.
 func (m *MemStore) removeLocked(key string) {
-	me, ok := m.entries[key]
-	if !ok {
-		return
+	if rec, ok := m.entries[key]; ok {
+		delete(m.entries, key)
+		m.bytes -= int64(len(rec))
 	}
-	delete(m.entries, key)
-	m.bytes -= int64(len(me.rec))
-	share := m.libs[me.lib]
-	if share.refs--; share.refs > 0 {
-		m.libs[me.lib] = share
-		return
-	}
-	delete(m.libs, me.lib)
-	m.bytes -= int64(len(me.lib))
 }
 
 // evictLocked removes arbitrary entries other than keep until the store
@@ -113,31 +78,26 @@ func (m *MemStore) Get(key string) (*Entry, bool) {
 		return nil, false
 	}
 	m.mu.RLock()
-	me, ok := m.entries[key]
+	rec, ok := m.entries[key]
 	m.mu.RUnlock()
 	if !ok {
 		m.misses.Add(1)
 		return nil, false
 	}
-	e, ok := decodeEntry(key, me.rec)
+	e, ok := decodeEntry(key, rec)
 	if !ok {
 		// Unreachable for bytes produced by Put, but keep the disk cache's
 		// contract: corruption is a miss, never an error.
 		m.misses.Add(1)
 		return nil, false
 	}
-	if me.lib != "" {
-		e.Library = []byte(me.lib)
-	}
-	e.Size = me.size()
 	m.hits.Add(1)
 	return e, true
 }
 
 // Put implements Store. When inserting would exceed the byte limit,
 // arbitrary other entries are evicted; an entry larger than the whole
-// limit is discarded. The reported size counts the entry's library whether
-// or not another entry already shares it.
+// limit is discarded.
 func (m *MemStore) Put(key string, e *Entry) (int64, error) {
 	if m == nil {
 		return 0, nil
@@ -145,28 +105,19 @@ func (m *MemStore) Put(key string, e *Entry) (int64, error) {
 	if key == "" {
 		return 0, fmt.Errorf("mem store put: empty key")
 	}
-	bare := *e
-	bare.Library = nil
-	rec, err := encodeEntry(key, &bare)
+	rec, err := encodeEntry(key, e)
 	if err != nil {
 		return 0, fmt.Errorf("mem store put: %w", err)
 	}
-	e.Size = int64(len(rec) + len(e.Library))
+	e.Size = int64(len(rec))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.removeLocked(key)
 	if m.limit > 0 && e.Size > m.limit {
 		return 0, nil
 	}
-	share, ok := m.libs[string(e.Library)]
-	if !ok {
-		share.lib = string(e.Library)
-		m.bytes += int64(len(share.lib))
-	}
-	share.refs++
-	m.libs[share.lib] = share
-	m.entries[key] = memEntry{rec: rec, lib: share.lib}
-	m.bytes += int64(len(rec))
+	m.entries[key] = rec
+	m.bytes += e.Size
 	m.evictLocked(key)
 	return e.Size, nil
 }

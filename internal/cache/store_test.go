@@ -223,44 +223,3 @@ func TestMemStoreSetLimitEvictsImmediately(t *testing.T) {
 		t.Errorf("unbounding changed entry count %d -> %d", s.Entries, got)
 	}
 }
-
-// Entries carrying the same library share one resident copy: the store
-// counts it once, hands every Get its own copy, and frees it with the
-// last entry that shares it.
-func TestMemStoreSharesLibraries(t *testing.T) {
-	m := NewMemStore()
-	lib := make([]byte, 4096)
-	for i := range lib {
-		lib[i] = byte(i)
-	}
-	var sizes int64
-	for i := 0; i < 3; i++ {
-		e := testEntry()
-		e.Library = append([]byte(nil), lib...)
-		e.Suppressed = i
-		n, err := m.Put(fmt.Sprintf("key%d", i), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes += n
-	}
-	if got, want := m.Stats().Bytes, sizes-2*int64(len(lib)); got != want {
-		t.Errorf("bytes = %d with three entries sharing one library, want %d", got, want)
-	}
-	e0, _ := m.Get("key0")
-	e0.Library[0] = 0xff
-	for i := 0; i < 3; i++ {
-		e, ok := m.Get(fmt.Sprintf("key%d", i))
-		if !ok || e.Suppressed != i || string(e.Library) != string(lib) || e.Size != sizes/3 {
-			t.Fatalf("key%d = %+v, %v", i, e, ok)
-		}
-	}
-	other := testEntry()
-	if _, err := m.Put("key1", other); err != nil { // replace: key1 stops sharing
-		t.Fatal(err)
-	}
-	m.SetLimit(1)
-	if s := m.Stats(); s.Entries != 0 || s.Bytes != 0 || len(m.libs) != 0 {
-		t.Errorf("after evicting everything: %+v, %d libraries", s, len(m.libs))
-	}
-}

@@ -63,11 +63,11 @@ func RunConfig(cfg *Config, stdout, stderr io.Writer) int {
 
 // sessionFor builds the transient session for one invocation: a disk cache
 // when -cache-dir asked (bounded by -cache-max-bytes), a remote layer when
-// -remote-cache did. -cfg needs the parsed units, which a cache hit skips
-// building, so it disables both layers rather than printing nothing.
+// -remote-cache did. A run that needs the analyzed program (-cfg,
+// -dump-lib) gets neither layer.
 func sessionFor(cfg *Config) (*Session, error) {
 	sess := &Session{}
-	if cfg.ShowCFG != "" {
+	if cfg.needsProgram() {
 		return sess, nil
 	}
 	if cfg.CacheDir != "" {
@@ -84,38 +84,20 @@ func sessionFor(cfg *Config) (*Session, error) {
 	return sess, nil
 }
 
-// writeLibrary emits the checked program's interface library. On a cache
-// hit there is no analyzed Program, but the entry stored the serialized
-// library, so the dump works identically warm and cold.
+// writeLibrary emits the checked program's interface library. -dump-lib
+// runs uncached (Config.needsProgram), so the Program is always there.
 func writeLibrary(path string, res *core.Result, stats bool, stdout, stderr io.Writer) int {
-	var data []byte
-	var lib *library.Library
-	switch {
-	case res.Program != nil:
-		lib = library.Build(res.Program)
-		var buf bytes.Buffer
-		if err := lib.Encode(&buf); err != nil {
-			fmt.Fprintf(stderr, "golclint: %v\n", err)
-			return 2
-		}
-		data = buf.Bytes()
-	case len(res.CachedLibrary) > 0:
-		data = res.CachedLibrary
-		if stats {
-			var err error
-			if lib, err = library.Decode(bytes.NewReader(data)); err != nil {
-				fmt.Fprintf(stderr, "golclint: %v\n", err)
-				return 2
-			}
-		}
-	default:
-		return 0
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	lib := library.Build(res.Program)
+	var buf bytes.Buffer
+	if err := lib.Encode(&buf); err != nil {
 		fmt.Fprintf(stderr, "golclint: %v\n", err)
 		return 2
 	}
-	if stats && lib != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		fmt.Fprintf(stderr, "golclint: %v\n", err)
+		return 2
+	}
+	if stats {
 		fmt.Fprintf(stdout, "interface library: %s\n", lib.Stats())
 	}
 	return 0

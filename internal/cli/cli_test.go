@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -64,41 +65,45 @@ func TestCacheDirWithoutFlagUnchanged(t *testing.T) {
 	}
 }
 
-// -dump-lib must produce an identical library whether the result came from
-// a fresh check or a cache replay.
-func TestDumpLibOnCacheHit(t *testing.T) {
+// -dump-lib needs the analyzed program, so it runs uncached: under
+// -cache-dir it writes the same library every time, the same one an
+// uncached run writes, and stores nothing.
+func TestDumpLibBypassesCache(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "m.c")
 	if err := os.WriteFile(src, []byte("int twice (int x) { return x * 2; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cacheDir := filepath.Join(dir, "cache")
-	coldLib := filepath.Join(dir, "cold.lib")
-	warmLib := filepath.Join(dir, "warm.lib")
-	if code, _, errOut := runCLI(t, "-cache-dir", cacheDir, "-dump-lib", coldLib, src); code != 0 {
-		t.Fatalf("cold exit = %d: %s", code, errOut)
+	var libs [][]byte
+	for i, cached := range []bool{false, true, true} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.lib", i))
+		args := []string{"-dump-lib", path, src}
+		if cached {
+			args = append([]string{"-cache-dir", cacheDir}, args...)
+		}
+		if code, _, errOut := runCLI(t, args...); code != 0 {
+			t.Fatalf("run %d exit = %d: %s", i, code, errOut)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		libs = append(libs, b)
 	}
-	if code, _, errOut := runCLI(t, "-cache-dir", cacheDir, "-dump-lib", warmLib, src); code != 0 {
-		t.Fatalf("warm exit = %d: %s", code, errOut)
+	if len(libs[0]) == 0 || !bytes.Equal(libs[0], libs[1]) || !bytes.Equal(libs[0], libs[2]) {
+		t.Fatalf("library bytes differ: %d uncached, %d and %d under -cache-dir", len(libs[0]), len(libs[1]), len(libs[2]))
 	}
-	a, err := os.ReadFile(coldLib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(warmLib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatalf("library bytes differ across cache hit: %d vs %d bytes", len(a), len(b))
+	if entries, err := os.ReadDir(cacheDir); len(entries) > 0 || (err != nil && !os.IsNotExist(err)) {
+		t.Errorf("-dump-lib runs left %d cache entries (%v)", len(entries), err)
 	}
 
-	// The warm library must still work for modular checking.
+	// The dumped library serves modular checking.
 	use := filepath.Join(dir, "use.c")
 	if err := os.WriteFile(use, []byte("extern int twice (int x);\nint use (void) { return twice (21); }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, errOut := runCLI(t, "-lib", warmLib, use); code != 0 {
+	if code, _, errOut := runCLI(t, "-lib", filepath.Join(dir, "2.lib"), use); code != 0 {
 		t.Fatalf("modular exit = %d: %s", code, errOut)
 	}
 }

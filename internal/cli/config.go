@@ -198,6 +198,14 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	return cfg, nil
 }
 
+// needsProgram reports whether the run must analyze its sources even when
+// a cache entry could replay them: -cfg prints the parsed units and
+// -dump-lib builds the library from the analyzed program, and a hit has
+// neither. Such runs use no cache at all.
+func (cfg *Config) needsProgram() bool {
+	return cfg.ShowCFG != "" || cfg.DumpLib != ""
+}
+
 // LoadInputs reads cfg.Paths from disk — keyed by base name, which is how
 // diagnostics report positions — and builds the include resolver over the
 // sources' directories plus the -I dirs. It is the only part of a run that

@@ -225,12 +225,11 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 			validatepkg.Apply(prog, diags, validatepkg.Options{})
 		}
 	}
-	// -cfg needs the parsed units, which a cache hit skips building, so it
-	// disables the cache for this run rather than printing nothing.
-	if cfg.ShowCFG == "" {
+	// -cfg and -dump-lib need the analyzed program, which a cache hit
+	// skips building, so they disable the cache for this run.
+	if !cfg.needsProgram() {
 		if st := s.Store(); st != nil {
 			opt.Cache = st
-			opt.CacheExport = library.ExportProgram
 			// Function-granular incrementality: with a store present, each
 			// function definition gets its own sub-entry so a dirty module
 			// re-checks only its edited functions. -fn-cache=false reverts

@@ -64,9 +64,10 @@ type Options struct {
 	// interface change in one module transitively invalidates exactly its
 	// dependents.
 	CacheDeps map[string]string
-	// CacheExport serializes the checked program's interface facts for
-	// storage in the cache entry (library.ExportProgram is the standard
-	// implementation); nil stores no interface bytes.
+	// CacheExport is ignored: cache entries hold no interface library,
+	// and -dump-lib runs uncached so it always has the analyzed program.
+	//
+	// Deprecated: ignored; kept only so existing callers still compile.
 	CacheExport func(*sema.Program) ([]byte, error)
 	// Explain switches on provenance recording: every diagnostic carries a
 	// witness path (diag.Provenance) describing the CFG blocks, branch
@@ -123,10 +124,6 @@ type Result struct {
 	Units []*cast.Unit
 	// CacheHit reports that the run was replayed from the analysis cache.
 	CacheHit bool
-	// CachedLibrary is the serialized interface library stored with a hit
-	// entry (nil on cold runs), so callers like golclint -dump-lib still
-	// have the module's interface facts without a Program.
-	CachedLibrary []byte
 }
 
 // Messages renders the diagnostics in the paper's format.
@@ -349,7 +346,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			res.ParseErrors = e.ParseErrors
 			res.SemaErrors = e.SemaErrors
 			res.CacheHit = true
-			res.CachedLibrary = e.Library
 			if m.Enabled() {
 				m.Add(obs.CacheHits, 1)
 				m.Add(obs.CacheBytes, e.Size)
@@ -452,11 +448,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			ids = sortedSet(ids)
 		}
 		entry.Deps = depsOf(ids, func(id string) string { return opt.CacheDeps[id] })
-		if opt.CacheExport != nil && prog != nil {
-			if b, err := opt.CacheExport(prog); err == nil {
-				entry.Library = b
-			}
-		}
 		// A failed write is a lost optimization, not an error: the run's
 		// own result is already computed.
 		if n, err := opt.Cache.Put(key, entry); err == nil {

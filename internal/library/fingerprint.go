@@ -45,9 +45,8 @@ func (l *Library) Fingerprints() map[string]string {
 	return l.fp
 }
 
-// ExportProgram serializes prog's interface library (Build + gob): the
-// standard core.Options.CacheExport implementation, stored in cache
-// entries so dependents of a cached module still have its interface facts.
+// ExportProgram serializes prog's interface library (Build + gob) in the
+// file format -dump-lib writes and -lib loads.
 func ExportProgram(prog *sema.Program) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := Build(prog).Encode(&buf); err != nil {

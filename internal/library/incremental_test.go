@@ -1,9 +1,12 @@
 package library
 
 import (
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"golclint/internal/cache"
@@ -201,5 +204,49 @@ func TestOneDirtyModuleRecheck(t *testing.T) {
 	}
 	if results["mod0.c"].CacheHit {
 		t.Error("edited module replayed from cache")
+	}
+}
+
+// A module's stored records hold only what its check depends on: checked
+// against a library holding just the prototypes it uses, or against one
+// with 100 unrelated prototypes besides, it stores byte-identical entries.
+func TestStoredRecordIgnoresUnusedLibrary(t *testing.T) {
+	used := "extern /*@only@*/ char *a_make (int n);\n"
+	padded := used
+	for i := 0; i < 100; i++ {
+		padded += fmt.Sprintf("extern int unrelated_%d (/*@temp@*/ char *s, int n);\n", i)
+	}
+	var stored [2]map[string]string
+	for i, iface := range []string{used, padded} {
+		dir := t.TempDir()
+		c, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _ := checkWithLib(t, c, map[string]string{"b.c": moduleB}, buildLib(t, iface)); res.CacheHit {
+			t.Fatal("cold check hit")
+		}
+		stored[i] = map[string]string{}
+		err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			stored[i][strings.TrimPrefix(path, dir)] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(stored[0]) < 2 {
+		t.Fatalf("stored %d entries, want the module's and its function's", len(stored[0]))
+	}
+	if !maps.Equal(stored[0], stored[1]) {
+		for name, b := range stored[0] {
+			if b != stored[1][name] {
+				t.Errorf("%s: %d bytes with the used prototypes, %d with 100 more", name, len(b), len(stored[1][name]))
+			}
+		}
 	}
 }

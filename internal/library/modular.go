@@ -28,9 +28,6 @@ func CheckModule(files map[string]string, lib *Library, opt core.Options) *core.
 		if opt.CacheDeps == nil {
 			opt.CacheDeps = lib.Fingerprints()
 		}
-		if opt.CacheExport == nil {
-			opt.CacheExport = ExportProgram
-		}
 		if opt.EnvFingerprint == nil {
 			// Enable the function-granular cache layer: sub-entries record
 			// the fingerprints of exactly the symbols each function used,
