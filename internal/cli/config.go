@@ -183,6 +183,10 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 			return nil, err
 		}
 	}
+	if msg := cfg.conflict(fs.NArg()); msg != "" {
+		fmt.Fprintf(errw, "golclint: %s\n", msg)
+		return nil, errors.New(msg)
+	}
 
 	fl := flags.Default()
 	fl.MaxMessages = cfg.MaxMsgs
@@ -196,6 +200,46 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	cfg.Paths = fs.Args()
 	cfg.IncDirs = incDirs
 	return cfg, nil
+}
+
+// conflict names the first flag combination the command would otherwise
+// accept and then partly ignore, checking in a fixed order so the message
+// never depends on anything but the arguments; "" when there is none.
+// Shard workers reject every flag whose output is one whole-run artifact:
+// per-module runs would overwrite it.
+func (cfg *Config) conflict(nargs int) string {
+	if cfg.Serve != "" {
+		switch {
+		case nargs > 0:
+			return "-serve takes no input files"
+		case cfg.CacheServe != "":
+			return "-serve and -cache-serve are exclusive"
+		case cfg.CacheMaxBytes != 0:
+			return "-cache-max-bytes is not supported with -serve"
+		}
+	}
+	if cfg.CacheMaxBytes != 0 && cfg.CacheDir == "" {
+		return "-cache-max-bytes requires -cache-dir"
+	}
+	if cfg.Shard != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-cfg", cfg.ShowCFG != ""},
+			{"-dump-lib", cfg.DumpLib != ""},
+			{"-trace", cfg.TracePath != ""},
+			{"-trace-out", cfg.TraceOut != ""},
+			{"-hot", cfg.HotN > 0},
+			{"-cpuprofile", cfg.CPUProfile != ""},
+			{"-memprofile", cfg.MemProfile != ""},
+		} {
+			if f.set {
+				return f.name + " is not supported with -shard"
+			}
+		}
+	}
+	return ""
 }
 
 // needsProgram reports whether the run must analyze its sources even when

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +64,50 @@ func TestParseConfigErrors(t *testing.T) {
 				t.Errorf("stderr = %q, want substring %q", errb.String(), tc.want)
 			}
 		})
+	}
+}
+
+// Flag combinations the command would otherwise accept and then partly
+// ignore are usage errors, each with one fixed message: checked in a fixed
+// order, so several at once always name the same flag.
+func TestParseConfigConflicts(t *testing.T) {
+	shard := func(extra ...string) []string {
+		return append(append([]string{"-shard", "0/2"}, extra...), "a.c")
+	}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{shard("-cfg", "f"), "-cfg is not supported with -shard"},
+		{shard("-dump-lib", "x.lib"), "-dump-lib is not supported with -shard"},
+		{shard("-trace", "t.jsonl"), "-trace is not supported with -shard"},
+		{shard("-trace-out", "t.json"), "-trace-out is not supported with -shard"},
+		{shard("-hot", "3"), "-hot is not supported with -shard"},
+		{shard("-cpuprofile", "c.prof"), "-cpuprofile is not supported with -shard"},
+		{shard("-memprofile", "m.prof"), "-memprofile is not supported with -shard"},
+		{shard("-memprofile", "m.prof", "-hot", "3", "-trace", "t.jsonl", "-dump-lib", "x.lib"), "-dump-lib is not supported with -shard"},
+		{[]string{"-serve", "127.0.0.1:0", "a.c"}, "-serve takes no input files"},
+		{[]string{"-serve", "127.0.0.1:0", "-cache-serve", "127.0.0.1:1", "-cache-dir", "d"}, "-serve and -cache-serve are exclusive"},
+		{[]string{"-serve", "127.0.0.1:0", "-cache-dir", "d", "-cache-max-bytes", "4096"}, "-cache-max-bytes is not supported with -serve"},
+		{[]string{"-cache-max-bytes", "4096", "a.c"}, "-cache-max-bytes requires -cache-dir"},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 20; i++ {
+			var out, errb bytes.Buffer
+			if code := Run(tc.args, &out, &errb); code != 2 || errb.String() != "golclint: "+tc.want+"\n" {
+				t.Fatalf("%q: exit %d, stderr %q; want exit 2, %q", tc.args, code, errb.String(), tc.want)
+			}
+		}
+	}
+	for _, ok := range [][]string{
+		{"-cache-dir", "d", "-cache-max-bytes", "4096", "a.c"},
+		{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "-cache-max-bytes", "4096"},
+		{"-serve", "127.0.0.1:0", "-cache-dir", "d"},
+		shard("-stats-json", "s.json", "-diag-jsonl", "d.jsonl"),
+	} {
+		if _, err := ParseConfig(ok, io.Discard); err != nil {
+			t.Errorf("%q rejected: %v", ok, err)
+		}
 	}
 }
 

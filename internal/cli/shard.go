@@ -65,28 +65,13 @@ func ShardOf(name string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// RunShard executes one shard worker. Flags that assume a single whole-run
-// artifact (-cfg, -dump-lib, -trace, -trace-out, -hot, -cpuprofile,
-// -memprofile) are rejected: their outputs are per-module and would
-// overwrite each other.
+// RunShard executes one shard worker. ParseConfig has already rejected the
+// flags that assume a single whole-run artifact (-cfg, -dump-lib, -trace,
+// -trace-out, -hot, -cpuprofile, -memprofile).
 func RunShard(cfg *Config, stdout, stderr io.Writer) int {
 	index, count, err := ParseShard(cfg.Shard)
 	if err != nil {
 		fmt.Fprintf(stderr, "golclint: %v\n", err)
-		return 2
-	}
-	for flag, val := range map[string]string{
-		"-cfg": cfg.ShowCFG, "-dump-lib": cfg.DumpLib,
-		"-trace": cfg.TracePath, "-trace-out": cfg.TraceOut,
-		"-cpuprofile": cfg.CPUProfile, "-memprofile": cfg.MemProfile,
-	} {
-		if val != "" {
-			fmt.Fprintf(stderr, "golclint: %s is not supported with -shard\n", flag)
-			return 2
-		}
-	}
-	if cfg.HotN > 0 {
-		fmt.Fprintln(stderr, "golclint: -hot is not supported with -shard")
 		return 2
 	}
 

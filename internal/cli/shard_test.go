@@ -1,16 +1,8 @@
 package cli
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
-
-	"golclint/internal/testgen"
 )
 
 func TestParseShard(t *testing.T) {
@@ -53,129 +45,5 @@ func TestShardOfPartitions(t *testing.T) {
 				t.Errorf("n=%d: shard %d got no modules", n, s)
 			}
 		}
-	}
-}
-
-// writeCorpus materializes a deterministic buggy testgen corpus and
-// returns the sorted .c paths plus the include dir.
-func writeCorpus(t *testing.T, modules int) []string {
-	t.Helper()
-	dir := t.TempDir()
-	bugs := map[testgen.BugKind]int{}
-	for _, k := range testgen.AllBugKinds() {
-		bugs[k] = modules / 2
-	}
-	p := testgen.Generate(testgen.Config{Seed: 7, Modules: modules, FuncsPer: 3, Annotate: true, Bugs: bugs})
-	for name, src := range p.AllSources() {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var paths []string
-	for name := range p.Files {
-		paths = append(paths, filepath.Join(dir, name))
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-// runShardArgs runs one CLI invocation (flags first, then paths — the
-// flag package stops at the first positional argument) and returns stdout
-// and the diag-jsonl lines.
-func runShardArgs(t *testing.T, flags, paths []string) (string, []string, int) {
-	t.Helper()
-	jsonl := filepath.Join(t.TempDir(), "diags.jsonl")
-	args := append(append([]string{}, flags...), "-diag-jsonl", jsonl)
-	args = append(args, paths...)
-	var out, errb bytes.Buffer
-	code := Run(args, &out, &errb)
-	if code > 1 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-	}
-	b, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
-	if len(lines) == 1 && lines[0] == "" {
-		lines = nil
-	}
-	return out.String(), lines, code
-}
-
-// Merged shard output must be byte-identical to the single-process run
-// (-shard 0/1) at every shard count, cold and warm, including -explain and
-// -validate payloads.
-func TestShardParity(t *testing.T) {
-	paths := writeCorpus(t, 12)
-
-	for _, mode := range [][]string{nil, {"-explain"}, {"-validate"}} {
-		name := "plain"
-		if len(mode) > 0 {
-			name = strings.TrimPrefix(mode[0], "-")
-		}
-		t.Run(name, func(t *testing.T) {
-			cacheDir := t.TempDir()
-			base := append([]string{"-cache-dir", cacheDir}, mode...)
-
-			single, singleLines, singleCode := runShardArgs(t, append(append([]string{}, base...), "-shard", "0/1"), paths)
-			sortedSingle := append([]string(nil), singleLines...)
-			sort.Strings(sortedSingle)
-
-			for _, n := range []int{1, 2, 4, 8} {
-				for _, pass := range []string{"cold", "warm"} {
-					shardCache := cacheDir // warm: shares the single run's cache
-					if pass == "cold" {
-						shardCache = t.TempDir()
-					}
-					var mergedLines []string
-					stdoutByShard := make([]string, n)
-					exit := 0
-					for i := 0; i < n; i++ {
-						args := append([]string{"-cache-dir", shardCache}, mode...)
-						args = append(args, "-shard", fmt.Sprintf("%d/%d", i, n))
-						out, lines, code := runShardArgs(t, args, paths)
-						stdoutByShard[i] = out
-						mergedLines = append(mergedLines, lines...)
-						if code > exit {
-							exit = code
-						}
-					}
-					sort.Strings(mergedLines)
-					if strings.Join(mergedLines, "\n") != strings.Join(sortedSingle, "\n") {
-						t.Fatalf("n=%d %s: merged diag-jsonl differs from single-process run", n, pass)
-					}
-					if exit != singleCode {
-						t.Errorf("n=%d %s: exit %d, single %d", n, pass, exit, singleCode)
-					}
-					// Concatenating per-shard stdout grouped by module name
-					// (recoverable because shards are disjoint) reproduces
-					// single-process stdout; with n=1 directly.
-					if n == 1 && stdoutByShard[0] != single {
-						t.Errorf("n=1 %s: stdout differs from -shard 0/1", pass)
-					}
-				}
-			}
-		})
-	}
-}
-
-// The record Text fields, concatenated in sorted-line order, reproduce the
-// single-process stdout byte for byte — the property the merge driver
-// relies on to render a whole-corpus report from per-shard streams.
-func TestShardJSONLTextReconstructsStdout(t *testing.T) {
-	paths := writeCorpus(t, 8)
-	single, lines, _ := runShardArgs(t, []string{"-shard", "0/1"}, paths)
-	sort.Strings(lines)
-	var rebuilt strings.Builder
-	for _, ln := range lines {
-		var rec DiagRecord
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("bad record %q: %v", ln, err)
-		}
-		rebuilt.WriteString(rec.Text)
-	}
-	if rebuilt.String() != single {
-		t.Errorf("reconstructed stdout differs:\n--- rebuilt\n%s\n--- single\n%s", rebuilt.String(), single)
 	}
 }

@@ -38,8 +38,8 @@ func (l *Library) Fingerprints() map[string]string {
 		for _, g := range l.Globals {
 			l.fp[g.Name] = fp(g.Name)
 		}
-		for name := range l.Enums {
-			l.fp[name] = fp(name)
+		for _, e := range l.Enums {
+			l.fp[e.Name] = fp(e.Name)
 		}
 	})
 	return l.fp

@@ -75,14 +75,22 @@ type globalRec struct {
 	Line    int
 }
 
+// enumRec is a serialized enum constant.
+type enumRec struct {
+	Name  string
+	Value int64
+}
+
 // Library is the serializable interface summary of a program. It is
 // immutable once built or decoded; the fingerprint memo below relies on
-// that.
+// that. Every table is a slice in a fixed order, never a map: gob writes
+// maps in iteration order, and a library's bytes must not vary between
+// runs.
 type Library struct {
 	Types   []typeRec
 	Funcs   []funcRec
 	Globals []globalRec
-	Enums   map[string]int64
+	Enums   []enumRec // by name
 
 	// fp memoizes Fingerprints (not serialized; gob ignores unexported
 	// fields).
@@ -102,7 +110,7 @@ type builder struct {
 // Builtin (standard library) functions are omitted: every checker
 // installation already has them.
 func Build(prog *sema.Program) *Library {
-	b := &builder{lib: &Library{Enums: map[string]int64{}}, index: map[*ctypes.Type]int32{}}
+	b := &builder{lib: &Library{}, index: map[*ctypes.Type]int32{}}
 	var fnames []string
 	for n := range prog.Funcs {
 		fnames = append(fnames, n)
@@ -139,8 +147,9 @@ func Build(prog *sema.Program) *Library {
 		})
 	}
 	for k, v := range prog.Enums {
-		b.lib.Enums[k] = v
+		b.lib.Enums = append(b.lib.Enums, enumRec{Name: k, Value: v})
 	}
+	sort.Slice(b.lib.Enums, func(i, j int) bool { return b.lib.Enums[i].Name < b.lib.Enums[j].Name })
 	return b.lib
 }
 
@@ -264,9 +273,9 @@ func (l *Library) Install(prog *sema.Program) error {
 			Pos: recPos(gr.File, gr.Line),
 		}
 	}
-	for k, v := range l.Enums {
-		if _, ok := prog.Enums[k]; !ok {
-			prog.Enums[k] = v
+	for _, e := range l.Enums {
+		if _, ok := prog.Enums[e.Name]; !ok {
+			prog.Enums[e.Name] = e.Value
 		}
 	}
 	return nil

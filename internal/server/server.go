@@ -356,7 +356,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// Flag validation parity with the CLI, before any resident state is
 	// touched: a request the command line would reject is rejected here,
 	// with the same error text.
-	if _, errText, err := parseRequest(&req); err != nil {
+	cfg, errText, err := parseRequest(&req)
+	if err != nil {
 		s.clientError(w, http.StatusBadRequest, errText)
 		return
 	}
@@ -383,7 +384,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	body, coalesced := s.coalesce(key, func() []byte {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-		return s.run(&req, key)
+		return s.run(&req, cfg, key)
 	})
 	if coalesced {
 		s.coalesced.Add(1)
@@ -399,28 +400,23 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// run executes one validated request against the warm session and encodes
-// the response. Determinism contract: everything in the response except
+// run executes one validated request, parsed into cfg, against the warm
+// session and encodes the response. Every module of a batch runs under
+// the one cfg. Determinism contract: everything in the response except
 // Counters depends only on the request content, never on cache warmth or
 // concurrency — warm replays are byte-identical because the cache stores
 // the full observable outcome, and coalesced followers share the leader's
 // encoded bytes outright.
-func (s *Server) run(req *CheckRequest, key string) []byte {
+func (s *Server) run(req *CheckRequest, cfg *cli.Config, key string) []byte {
 	metrics := obs.New()
 	var out, errb bytes.Buffer
 	resp := &CheckResponse{CacheHit: true, Diagnostics: []cli.StatsDiag{}}
+	cfg.Metrics = metrics
+	if len(req.Modules) > 0 {
+		cfg.Lib = s.sess.LibraryFor(req.Headers)
+	}
 
-	runOne := func(files map[string]string, withLib bool) {
-		cfg, _, err := parseRequest(req)
-		if err != nil { // unreachable: validated before coalescing
-			fmt.Fprintf(&errb, "golclint: %v\n", err)
-			resp.Exit = 2
-			return
-		}
-		cfg.Metrics = metrics
-		if withLib {
-			cfg.Lib = s.sess.LibraryFor(req.Headers)
-		}
+	runOne := func(files map[string]string) {
 		code, res := s.sess.Execute(cfg, files, includerFor(req.Headers, files), &out, &errb)
 		if code > resp.Exit {
 			resp.Exit = code
@@ -434,13 +430,13 @@ func (s *Server) run(req *CheckRequest, key string) []byte {
 	}
 
 	if len(req.Files) > 0 {
-		runOne(req.Files, false)
+		runOne(req.Files)
 	} else {
 		// Modules run in sorted name order, sequentially: output ordering
 		// matches the CLI loop `for m in modules: golclint -lib shared.lib
 		// $m`, and intra-module parallelism (Jobs) is where the cores go.
 		for _, mod := range sortedNames(req.Modules) {
-			runOne(req.Modules[mod], true)
+			runOne(req.Modules[mod])
 		}
 	}
 
