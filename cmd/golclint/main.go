@@ -7,7 +7,10 @@
 //	golclint [options] file.c...
 //
 //	-flags "+name -name ..."   checker flag toggles (see internal/flags)
-//	-I dir                     add an include directory (repeatable)
+//	-I dir                     add an include directory (repeatable);
+//	                           headers resolve from the sources'
+//	                           directories in argument order, then the
+//	                           -I directories in flag order
 //	-dump-lib file             write an interface library after checking
 //	                           (the run bypasses -cache-dir)
 //	-lib file                  load an interface library before checking

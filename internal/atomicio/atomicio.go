@@ -1,7 +1,7 @@
 // Package atomicio provides crash-safe file writes: data lands in a
 // temporary file in the destination directory and is renamed into place,
 // so readers never observe a truncated artifact. The cache, -stats-json,
-// and the benchmark JSON emitters all share this helper.
+// -trace-out and the benchmark JSON emitters all share this helper.
 package atomicio
 
 import (
@@ -14,7 +14,15 @@ import (
 // boundary we care about — a crashed run leaves either the old file or the
 // new one, never a prefix), chmods to perm, and renames over path. On any
 // error the temporary file is removed.
+//
+// A path that exists and is not a regular file (a symlink, a device, a
+// FIFO) is written through in place instead, as a shell redirection
+// writes it: renaming over it would replace the link or the device node
+// with a regular file. Such a write is not atomic.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		return writeThrough(path, data, perm)
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -39,4 +47,18 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return nil
+}
+
+// writeThrough truncates and writes the file path names, following a
+// symlink (and creating a dangling link's target with perm).
+func writeThrough(path string, data []byte, perm os.FileMode) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -2,8 +2,9 @@
 // cache behind incremental re-checking. One entry stores the complete
 // observable outcome of checking one module (its retained diagnostics,
 // suppression count, parse/sema errors, and interface dependencies) as
-// one binary record (record.go), keyed by a hash of the preprocessed
-// module source plus the checker version and flag fingerprint. A module
+// one binary record (record.go), keyed by a hash of the module's sources
+// and their #include closure plus the checker version and flag fingerprint
+// (core computes it before preprocessing). A module
 // whose key is present and whose recorded interface dependencies still
 // match the current interface library replays the stored outcome without
 // lexing, parsing, or checking — the production form of the paper's §7 argument that modular,
@@ -239,12 +240,11 @@ type FnStats struct {
 }
 
 // Key computes the content-addressed entry key: a hash over the checker
-// version, the flag fingerprint, and each (name, preprocessed source) pair
-// in sorted name order. Every component is length-prefixed so distinct
-// inputs cannot collide by concatenation. Anything that can change a
-// module's diagnostics must flow into one of the three inputs — version
-// for the checker itself, flagsFP for configuration, files for source and
-// (via preprocessing) headers, defines, and includes. Worker counts are
+// version, the flag fingerprint, and each (name, text) pair in sorted name
+// order. Every component is length-prefixed so distinct inputs cannot
+// collide by concatenation. Anything that can change the keyed outcome
+// must flow into one of the three inputs — version for the checker
+// itself, flagsFP for configuration, files for the texts. Worker counts are
 // deliberately excluded: output is byte-identical at every -jobs value, so
 // runs at different parallelism share entries.
 func Key(version, flagsFP string, files map[string]string) string {
@@ -262,8 +262,8 @@ func Key(version, flagsFP string, files map[string]string) string {
 }
 
 // KeyHasher streams cache-key components straight into the hash, so
-// callers holding per-file pieces (preprocessed text here, error strings
-// there) need not concatenate them into throwaway key strings first. Every
+// callers holding per-file pieces (source text here, error strings there)
+// need not concatenate them into throwaway key strings first. Every
 // component is length-prefixed exactly as Key does, and callers must feed
 // files in sorted name order to get order-independent keys.
 type KeyHasher struct {
@@ -281,24 +281,23 @@ func NewKeyHasher(version, flagsFP string) *KeyHasher {
 
 // Component feeds one length-prefixed string into the key. The string's
 // bytes go to the hash in place: a hash's Write neither keeps nor modifies
-// its argument, and copying a whole expanded file just to hash it was a
-// measurable share of a warm module check's allocation.
+// its argument, and copying a whole file just to hash it was a measurable
+// share of a warm module check's allocation.
 func (k *KeyHasher) Component(s string) {
 	binary.LittleEndian.PutUint64(k.len[:], uint64(len(s)))
 	k.h.Write(k.len[:])
 	k.h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 }
 
-// File feeds one module file: its name, preprocessed text, and preprocess
-// errors (count-prefixed so zero errors and empty-string errors stay
-// distinct). This replaces hashing "expanded + \x00 + join(errors)" concat
-// strings built only to be hashed.
-func (k *KeyHasher) File(name, expanded string, ppErrors []string) {
+// File feeds one named text and the errors that came with it (count-
+// prefixed so zero errors and empty-string errors stay distinct): a module
+// file's bytes, or a header with the includer's error.
+func (k *KeyHasher) File(name, text string, errs []string) {
 	k.Component(name)
-	k.Component(expanded)
-	binary.LittleEndian.PutUint64(k.len[:], uint64(len(ppErrors)))
+	k.Component(text)
+	binary.LittleEndian.PutUint64(k.len[:], uint64(len(errs)))
 	k.h.Write(k.len[:])
-	for _, e := range ppErrors {
+	for _, e := range errs {
 		k.Component(e)
 	}
 }

@@ -158,7 +158,7 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "bound the on-disk cache directory to this many bytes, evicting oldest entries (0 = unbounded)")
 	fs.StringVar(&cfg.Shard, "shard", "", "check only shard i of n ('i/n', 0 <= i < n): each source file is one module, assigned by a stable hash of its base name")
 	fs.StringVar(&cfg.DiagJSONL, "diag-jsonl", "", "stream retained diagnostics as one JSON record per line to this file (mergeable across shards)")
-	fs.Var(&incDirs, "I", "include directory (repeatable)")
+	fs.Var(&incDirs, "I", "include directory (repeatable); headers resolve from the source files' directories in argument order, then the -I directories in flag order")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -256,24 +256,29 @@ func (cfg *Config) LoadInputs() (map[string]string, cpp.Includer, error) {
 }
 
 // loadInputs reads paths, keyed by base name, with an includer over their
-// directories plus incDirs.
+// directories in order of first appearance, then incDirs in flag order,
+// each directory once: when two of them hold the same header name, the
+// first wins on every run.
 func loadInputs(paths, incDirs []string) (map[string]string, cpp.Includer, error) {
 	files := map[string]string{}
-	dirSet := map[string]bool{}
+	var dirs []string
+	seen := map[string]bool{}
+	addDir := func(d string) {
+		if !seen[d] {
+			seen[d] = true
+			dirs = append(dirs, d)
+		}
+	}
 	for _, path := range paths {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
 		files[filepath.Base(path)] = string(b)
-		dirSet[filepath.Dir(path)] = true
+		addDir(filepath.Dir(path))
 	}
 	for _, d := range incDirs {
-		dirSet[d] = true
-	}
-	var dirs []string
-	for d := range dirSet {
-		dirs = append(dirs, d)
+		addDir(d)
 	}
 	return files, dirIncluder{dirs: dirs}, nil
 }

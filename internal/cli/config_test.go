@@ -325,3 +325,57 @@ func TestLoadInputs(t *testing.T) {
 		t.Error("Include(absent.h) succeeded")
 	}
 }
+
+// TestIncludeDirOrder: when several include directories hold a header of
+// the same name, the sources' directories win in argument order, then the
+// -I directories in flag order, on every run.
+func TestIncludeDirOrder(t *testing.T) {
+	root := t.TempDir()
+	const src = "#include \"common.h\"\n" +
+		"extern /*@only@*/ void *malloc(unsigned long);\n" +
+		"extern void free(/*@only@*/ void *p);\n" +
+		"int f(int n)\n{\n\tchar *p;\n\tp = (char *) malloc(10);\n\tDROP(p);\n\treturn n;\n}\n"
+	write := func(dir, name, text string) string {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(root, dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Only leaky/common.h leaves p unreleased.
+	leaky, freeing, bare := filepath.Join(root, "leaky"), filepath.Join(root, "freeing"), filepath.Join(root, "bare")
+	write("leaky", "common.h", "#define DROP(p)\n")
+	write("freeing", "common.h", "#define DROP(p) free(p)\n")
+	a, m := write("leaky", "a.c", src), write("bare", "m.c", src)
+	b := write("freeing", "b.c", strings.Replace(src, "int f(", "int g(", 1))
+	const leak = ": Only storage p not released before return\n"
+	for _, tc := range []struct {
+		args  []string
+		leaks int // one per source when leaky/common.h is the one resolved
+	}{
+		{[]string{a, b}, 2},
+		{[]string{b, a}, 0},
+		{[]string{"-I", bare, "-I", leaky, "-I", freeing, m}, 1},
+		{[]string{"-I", freeing, "-I", leaky, m}, 0},
+		{[]string{"-I", freeing, a}, 1},
+	} {
+		var first string
+		for run := 0; run < 10; run++ {
+			var out, errb bytes.Buffer
+			if code := Run(tc.args, &out, &errb); code > 1 || errb.Len() != 0 {
+				t.Fatalf("%v: exit %d, stderr %q", tc.args, code, errb.String())
+			}
+			if run == 0 {
+				first = out.String()
+				if got := strings.Count(first, leak); got != tc.leaks {
+					t.Errorf("%v: %d leaks reported, want %d:\n%s", tc.args, got, tc.leaks, first)
+				}
+			} else if out.String() != first {
+				t.Fatalf("%v: run %d output differs from run 1:\n%s\nvs\n%s", tc.args, run+1, out.String(), first)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"golclint/internal/cache"
@@ -218,6 +219,83 @@ func (s stackedIncluder) Include(name string) (string, error) {
 	return builtinInc.Include(name)
 }
 
+// includeAnswer is an includer's answer for one name: the header's bytes,
+// or the error (not found, or an I/O failure).
+type includeAnswer struct {
+	src string
+	err error
+}
+
+// includeClosure asks inc once for every name in the transitive #include
+// closure of the files: the names cpp.IncludeNames finds in each file, and
+// in each header those names resolve to. The closure covers every name
+// preprocessing the files can ask for (cpp.IncludeNames), and inc answers a
+// name the same whichever file includes it, so the answers are everything
+// preprocessing reads beyond the files themselves.
+func includeClosure(names []string, files map[string]string, inc cpp.Includer) closureIncluder {
+	answers := closureIncluder{}
+	var visit func(src string)
+	visit = func(src string) {
+		for _, name := range cpp.IncludeNames(src) {
+			if _, seen := answers[name]; seen {
+				continue
+			}
+			hdr, err := inc.Include(name)
+			answers[name] = includeAnswer{hdr, err}
+			if err == nil {
+				visit(hdr)
+			}
+		}
+	}
+	for _, name := range names {
+		visit(files[name])
+	}
+	return answers
+}
+
+// closureIncluder replays the answers includeClosure collected, so a module
+// that misses the cache is preprocessed from exactly the bytes its key
+// covers, and no header is read twice.
+type closureIncluder map[string]includeAnswer
+
+// Include implements cpp.Includer. A name outside the closure cannot be
+// asked for; it reports not found.
+func (c closureIncluder) Include(name string) (string, error) {
+	a, ok := c[name]
+	if !ok {
+		return "", &cpp.NotFoundError{Name: name}
+	}
+	return a.src, a.err
+}
+
+// sourceKey feeds the module's inputs to kh: each file's name and bytes,
+// then each closure name with the includer's answer (the header's bytes, or
+// the error preprocessing would report), in sorted name order. Both lists
+// are count-prefixed so they cannot run into each other. cpp.Process is a
+// pure function of a file's name, its bytes, the fixed base defines and the
+// answers to the names it asks for, so equal keys mean equal expanded text
+// and equal preprocessing errors.
+func sourceKey(kh *cache.KeyHasher, names []string, files map[string]string, answers closureIncluder) {
+	kh.Component(strconv.Itoa(len(names)))
+	for _, name := range names {
+		kh.File(name, files[name], nil)
+	}
+	hdrs := make([]string, 0, len(answers))
+	for name := range answers {
+		hdrs = append(hdrs, name)
+	}
+	sort.Strings(hdrs)
+	kh.Component(strconv.Itoa(len(hdrs)))
+	for _, name := range hdrs {
+		a := answers[name]
+		var errs []string
+		if a.err != nil {
+			errs = []string{a.err.Error()}
+		}
+		kh.File(name, a.src, errs)
+	}
+}
+
 // fileFront is one file's frontend outcome, filled into index-ordered
 // slots by the preprocess and parse fan-outs. Workers write disjoint
 // slots, so no lock is needed, and replaying the slots in name order keeps
@@ -234,13 +312,12 @@ type fileFront struct {
 // starts from: the builtin NULL.
 var baseDefines = cpp.NewBaseDefines(map[string]string{"NULL": "((void*)0)"})
 
-// preprocessFiles expands every file on up to opt.Jobs workers, each owning
-// one reusable Preprocessor over the run's shared base-define table. The
-// expanded text (headers, defines, and includes inlined) is both the
-// parser input and the content the cache key addresses.
-func preprocessFiles(names []string, files map[string]string, opt Options, m *obs.Metrics, parent obs.SpanID) []fileFront {
+// preprocessFiles expands every file on up to jobs workers, each owning
+// one reusable Preprocessor over the run's shared base-define table and
+// resolving includes through inc. The expanded text (headers, defines, and
+// includes inlined) is the parser input.
+func preprocessFiles(names []string, files map[string]string, inc cpp.Includer, jobs int, m *obs.Metrics, parent obs.SpanID) []fileFront {
 	fronts := make([]fileFront, len(names))
-	inc := stackedIncluder{primary: opt.Includes}
 	phaseSpan := m.StartSpan(obs.SpanPhase, obs.PhasePreprocess.String(), parent, 0)
 	doFile := func(pp *cpp.Preprocessor, i, w int) {
 		pp.Reset()
@@ -251,7 +328,7 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 			fronts[i].ppErrs = append(fronts[i].ppErrs, e.Error())
 		}
 	}
-	par.Each(len(names), opt.Jobs, func(w int) func(int) {
+	par.Each(len(names), jobs, func(w int) func(int) {
 		pp := cpp.NewShared(inc, baseDefines)
 		return func(i int) { doFile(pp, i, w) }
 	})
@@ -309,12 +386,14 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	// before the diagnostics stream to the sink.
 	modSpan := m.StartSpan(obs.SpanModule, moduleName(names), m.RunSpan(), 0)
 
-	fronts := preprocessFiles(names, files, opt, m, modSpan)
-
 	// Caching is sound because everything that can influence the outcome
-	// is in the key (version, flags, expanded sources) or in the recorded
-	// dependency fingerprints (the installed library's, "" for every symbol
-	// when there is none).
+	// is in the key (version, flags, the sources and the includer's answers
+	// for their #include closure) or in the recorded dependency
+	// fingerprints (the installed library's, "" for every symbol when there
+	// is none). The key is computed before preprocessing, so a hit never
+	// runs the preprocessor; a miss preprocesses from the answers the key
+	// covers.
+	var inc cpp.Includer = stackedIncluder{primary: opt.Includes}
 	cacheable := opt.Cache != nil
 	var key string
 	var libFP map[string]string
@@ -322,11 +401,11 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		if opt.Lib != nil {
 			libFP = opt.Lib.Fingerprints()
 		}
-		// Preprocessing errors ride along in the hashed content so two
-		// includers yielding identical text but different errors cannot
-		// share an entry. Components stream straight into the hasher;
-		// nothing is concatenated just to be hashed.
+		// Components stream straight into the hasher; nothing is
+		// concatenated just to be hashed. "source" keeps these keys apart
+		// from the expanded-text keys of earlier builds.
 		kh := cache.NewKeyHasher(Version, fl.Fingerprint())
+		kh.Component("source")
 		if opt.Explain {
 			// Explain entries carry witnesses, so they address a distinct
 			// key: default runs never load provenance-bearing entries, and
@@ -338,9 +417,8 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			// plain explain entries for the same reason.
 			kh.Component("validate")
 		}
-		for i, name := range names {
-			kh.File(name, fronts[i].expanded, fronts[i].ppErrs)
-		}
+		answers := includeClosure(names, files, inc)
+		sourceKey(kh, names, files, answers)
 		key = kh.Sum()
 		if e, ok := opt.Cache.Get(key); ok && cache.DepsMatch(e.Deps, libFP) {
 			res.Diags = e.Diags
@@ -362,9 +440,11 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			emitDiags(opt.DiagSink, res.Diags)
 			return res
 		}
+		inc = answers
 		m.Add(obs.CacheMisses, 1)
 	}
 
+	fronts := preprocessFiles(names, files, inc, opt.Jobs, m, modSpan)
 	parseFiles(names, fronts, m, opt.Jobs, modSpan)
 
 	// Replay the per-file slots in serial name order: error ordering and
@@ -534,7 +614,7 @@ func Frontend(files map[string]string, opt Options) *FrontendResult {
 	}
 	sort.Strings(names)
 
-	fronts := preprocessFiles(names, files, opt, m, m.RunSpan())
+	fronts := preprocessFiles(names, files, stackedIncluder{primary: opt.Includes}, opt.Jobs, m, m.RunSpan())
 	parseFiles(names, fronts, m, opt.Jobs, m.RunSpan())
 
 	fr := &FrontendResult{Units: make([]*cast.Unit, 0, len(names))}

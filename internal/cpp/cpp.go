@@ -479,25 +479,56 @@ func (pp *Preprocessor) define(file string, line int, rest string) {
 	pp.setMacro(&Macro{Name: name, Body: strings.TrimSpace(rest[i:])})
 }
 
-func (pp *Preprocessor) include(file string, line int, rest string) {
+// includeName parses an #include directive's operand, "name" or <name>;
+// ok is false when it is neither.
+func includeName(rest string) (name string, ok bool) {
 	rest = strings.TrimSpace(rest)
-	var name string
 	switch {
 	case strings.HasPrefix(rest, "\""):
-		end := strings.IndexByte(rest[1:], '"')
-		if end < 0 {
-			pp.errorf(file, line, "bad #include syntax")
-			return
+		if end := strings.IndexByte(rest[1:], '"'); end >= 0 {
+			return rest[1 : 1+end], true
 		}
-		name = rest[1 : 1+end]
 	case strings.HasPrefix(rest, "<"):
-		end := strings.IndexByte(rest, '>')
-		if end < 0 {
-			pp.errorf(file, line, "bad #include syntax")
-			return
+		if end := strings.IndexByte(rest, '>'); end >= 0 {
+			return rest[1:end], true
 		}
-		name = rest[1:end]
-	default:
+	}
+	return "", false
+}
+
+// IncludeNames returns the operand of every #include directive in src, in
+// source order, live or not: it evaluates no conditional. Every name
+// Process asks its includer for while processing src is among them, so the
+// names of a file and, transitively, of the headers they resolve to cover
+// everything preprocessing can read. Rather than walk every line, it finds
+// each '#', joins continuations forward from it exactly as the line cursor
+// does, and parses that suffix as Process parses a directive. A directive's
+// '#' is the first non-space byte of its logical line, so the suffix is the
+// directive; a stray '#' (in a string, a comment, mid-line) yields at most
+// an extra name. The rest of the logical line a '#' starts in is skipped:
+// no '#' in it can begin a directive.
+func IncludeNames(src string) []string {
+	var names []string
+	c := lineCursor{src: src}
+	for c.pos < len(src) {
+		i := strings.IndexByte(src[c.pos:], '#')
+		if i < 0 {
+			break
+		}
+		c.pos += i
+		text, _, _, _ := c.next()
+		if dir, rest := splitDirective(strings.TrimSpace(text)); dir == "include" {
+			if name, ok := includeName(rest); ok {
+				names = append(names, name)
+			}
+		}
+	}
+	return names
+}
+
+func (pp *Preprocessor) include(file string, line int, rest string) {
+	name, ok := includeName(rest)
+	if !ok {
 		pp.errorf(file, line, "bad #include syntax")
 		return
 	}

@@ -536,3 +536,69 @@ func TestLineCursorMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// recordingIncluder records every name the preprocessor asks inc for.
+type recordingIncluder struct {
+	inc   Includer
+	names []string
+}
+
+func (r *recordingIncluder) Include(name string) (string, error) {
+	r.names = append(r.names, name)
+	return r.inc.Include(name)
+}
+
+// outside returns the recorded names that are not in names.
+func (r *recordingIncluder) outside(names []string) []string {
+	var out []string
+	for _, n := range r.names {
+		if !slices.Contains(names, n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestIncludeNames pins the names IncludeNames finds: every #include
+// operand, live or dead, through continuations and Unicode spaces, plus the
+// stray candidates a '#' outside a directive may add. Each source is also
+// preprocessed with every name resolvable, and every name asked for must be
+// among those found.
+func TestIncludeNames(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      []string
+	}{
+		{"quoted and angled", "#include \"a.h\"\n#include <b.h>\nint x;\n", []string{"a.h", "b.h"}},
+		{"spaced", "  #  include\t\"a.h\"  // note\n# include <b.h>\n", []string{"a.h", "b.h"}},
+		{"unicode spaces", "\u00a0#\u2003include \"a.h\"\n#\u3000include <b.h>\n", []string{"a.h", "b.h"}},
+		{"operand continued", "#include \\\n \"a.h\"\nint x;\n", []string{"a.h"}},
+		{"directive name continued", "#\\\ninclude \"a.h\"\n", []string{"a.h"}},
+		{"word split by continuation", "#inc\\\nlude \"a.h\"\n", nil},
+		{"blank lines continued into directive", "  \\\n \\\n#include \"a.h\"\n", []string{"a.h"}},
+		{"directive continued past its operand", "#include \"a.h\" \\\n#include \"b.h\"\n#include \"c.h\"\n", []string{"a.h", "c.h"}},
+		{"mid-line hash continued from code", "int x; \\\n#include \"a.h\"\n", []string{"a.h"}},
+		{"dead branches", "#if 0\n#include \"a.h\"\n#elif 0\n#include \"b.h\"\n#endif\n#ifdef NOPE\n#include <c.h>\n#endif\n", []string{"a.h", "b.h", "c.h"}},
+		{"string", "char *s = \"#include \\\"a.h\\\"\";\n", nil},
+		{"comment", "/* #include \"a.h\" */\n// #include <b.h>\n", []string{"a.h", "b.h"}},
+		{"define body", "#define X #include \"a.h\"\n", nil},
+		{"bad syntax", "#include a.h\n#include \"b.h\n#include <c.h\n#include\n", nil},
+		{"continuation at end", "#include \"a.h\"\n#include \\", []string{"a.h"}},
+		{"crlf", "#include \"a.h\"\r\n#include \\\r\n<b.h>\r\n", []string{"a.h"}},
+		{"empty", "", nil},
+	} {
+		got := IncludeNames(tc.src)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: IncludeNames = %q, want %q", tc.name, got, tc.want)
+		}
+		hdrs := MapIncluder{}
+		for _, n := range []string{"a.h", "b.h", "c.h"} {
+			hdrs[n] = ""
+		}
+		rec := &recordingIncluder{inc: hdrs}
+		New(rec).Process("t.c", tc.src)
+		if missing := rec.outside(got); len(missing) > 0 {
+			t.Errorf("%s: Process asked for %q, not found by IncludeNames", tc.name, missing)
+		}
+	}
+}

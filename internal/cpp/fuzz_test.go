@@ -60,6 +60,9 @@ func FuzzPreprocess(f *testing.F) {
 		"#undef NULL\nchar *p = NULL;\n#define NULL 0\n",
 		"#define S(x) #x\n#define P(a,b) a ## b\nchar *s = S(hi); int P(x, y);\n",
 		"/* #define C 1 */ \"C\" 'C' C // C\n",
+		"#include \\\n \"a.h\"\n#\\\ninclude <b.h>\n  \\\n  # include \"c.h\"\n",
+		"#\u00a0include \"d.h\"\n\u2003#include \"e.h\"\nchar *s = \"#include \\\"f.h\\\"\"; /* #include \"g.h\" */\n",
+		"#if 0\n#include \"dead.h\"\n#else\n#include \"live.h\"\n#endif\n",
 	} {
 		f.Add([]byte(s))
 	}
@@ -83,7 +86,13 @@ func FuzzPreprocess(f *testing.F) {
 			return out, errs
 		}
 		freshInc := &fuzzIncluder{hdr: src}
-		want, wantErrs := run(NewShared(freshInc, base), freshInc)
+		rec := &recordingIncluder{inc: freshInc}
+		want, wantErrs := run(NewShared(rec, base), freshInc)
+		// Every header is src itself, so src's names are the whole
+		// #include closure.
+		if missing := rec.outside(IncludeNames(src)); len(missing) > 0 {
+			t.Fatalf("Process asked for %q, which IncludeNames %q does not name", missing, IncludeNames(src))
+		}
 
 		reusedInc := &fuzzIncluder{hdr: src}
 		pp := NewShared(reusedInc, base)

@@ -6,11 +6,11 @@
 // sources reports: exit code, stdout, stderr and the sorted -diag-jsonl
 // stream (for the server, the structured diagnostics). Golden-corpus
 // references must also equal the committed transcripts. Inputs are the
-// golden corpus, testgen seeds and testgen edit scripts. Check also holds
-// each cache layer to its own counters. The inputs of one Check or Corpus
-// call share their stores: one warm -cache-dir, one server per -jobs value
-// and one blob server, so an entry or memo that leaks from one input into
-// another's output fails the cell that reads it.
+// golden corpus, testgen seeds and edit scripts (testgen's, and header-only
+// ones). Check also holds each cache layer to its own counters. The inputs
+// of one Check or Corpus call share their stores: one warm -cache-dir, one
+// server per -jobs value and one blob server, so an entry or memo that
+// leaks from one input into another's output fails the cell that reads it.
 //
 // The package is imported only by tests: the rows live beside the code they
 // hold, in goldentest (cached and edited golden runs), server (resident
@@ -115,6 +115,27 @@ func (c Config) warmKey() string {
 // arguments, by base name) and the include files written beside them.
 type Source struct {
 	Files, Headers map[string]string
+	// Dirs are subdirectories of the sources' directory, each with the
+	// include files written into it, and I names those passed as -I, in
+	// flag order. A server request gets the headers the CLI resolves:
+	// Headers first, then each of I in order.
+	Dirs map[string]map[string]string
+	I    []string
+}
+
+// resolvedHeaders is every header name the CLI can resolve in src, with the
+// bytes it resolves to.
+func (src Source) resolvedHeaders() map[string]string {
+	hdrs := map[string]string{}
+	for i := len(src.I) - 1; i >= 0; i-- {
+		for name, text := range src.Dirs[src.I[i]] {
+			hdrs[name] = text
+		}
+	}
+	for name, text := range src.Headers {
+		hdrs[name] = text
+	}
+	return hdrs
 }
 
 // Input is what the matrix checks.
@@ -236,14 +257,22 @@ func Corpus(t *testing.T, ins []*Input, configs func(*Input) []Config) {
 // check writes in's states to disk and checks every cell.
 func (s *stores) check(t *testing.T, in *Input, configs []Config) {
 	m := &matrix{t: t, s: s, in: in, libs: map[int]string{}, refs: map[string]*Outcome{}}
+	write := func(dir string, files map[string]string) {
+		for name, text := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, src := range in.Steps {
 		dir := s.scratch(t)
-		for _, files := range []map[string]string{src.Files, src.Headers} {
-			for name, text := range files {
-				if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
-					t.Fatal(err)
-				}
+		write(dir, src.Files)
+		write(dir, src.Headers)
+		for sub, hdrs := range src.Dirs {
+			if err := os.Mkdir(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
 			}
+			write(filepath.Join(dir, sub), hdrs)
 		}
 		m.dirs = append(m.dirs, dir)
 	}
@@ -356,6 +385,9 @@ func (m *matrix) cli(c Config, step int, cacheDir string, extra ...string) *Outc
 	if c.Lib {
 		args = append(args, "-lib", m.lib(step))
 	}
+	for _, sub := range m.in.Steps[step].I {
+		args = append(args, "-I", filepath.Join(m.dirs[step], sub))
+	}
 	var paths []string
 	for name := range m.in.Steps[step].Files {
 		paths = append(paths, filepath.Join(m.dirs[step], name))
@@ -467,7 +499,7 @@ func writeWire(b *strings.Builder, d cli.StatsDiag) {
 func (m *matrix) post(srv *server.Server, c Config) *Outcome {
 	t := m.t
 	src := m.in.Steps[len(m.in.Steps)-1]
-	req := &server.CheckRequest{Files: src.Files, Headers: src.Headers, Flags: m.in.Flags,
+	req := &server.CheckRequest{Files: src.Files, Headers: src.resolvedHeaders(), Flags: m.in.Flags,
 		Jobs: c.Jobs, Explain: c.Mode == Explain, Validate: c.Mode == Validate}
 	if c.Lib {
 		req.Files, req.Modules = nil, map[string]map[string]string{}
@@ -510,7 +542,7 @@ func (m *matrix) reference(step int, mode Mode, sharded, lib bool) *Outcome {
 	}
 	c := Config{Jobs: 1, Mode: mode, Shards: map[bool]int{true: 1}[sharded], Lib: lib}
 	src := m.in.Steps[step]
-	rkey := fmt.Sprint(src.Files, src.Headers, m.in.Flags, mode, sharded, lib)
+	rkey := fmt.Sprint(src.Files, src.Headers, src.Dirs, src.I, m.in.Flags, mode, sharded, lib)
 	v, ok := references.Load(rkey)
 	if !ok {
 		v, _ = references.LoadOrStore(rkey, m.cli(c, step, ""))
