@@ -16,8 +16,10 @@
 //	-lib file                  load an interface library before checking
 //	                           (modular re-checking of the given files)
 //	-cfg function              print the function's control-flow graph
+//	                           (the run bypasses -cache-dir)
 //	-cache-dir dir             persist analysis results under dir and
-//	                           replay them for unchanged inputs
+//	                           replay them for unchanged inputs (-cfg and
+//	                           -dump-lib runs bypass it)
 //	-jobs n                    number of concurrent checking workers
 //	                           (0 = GOMAXPROCS, 1 = serial; output is
 //	                           byte-identical at every worker count)
@@ -30,15 +32,23 @@
 //	-memprofile file           write a pprof heap profile
 //	-max n                     cap the number of reported messages
 //
-// Server mode replaces the one-shot run with a resident daemon (see
-// internal/server for the request/response schema):
+// Server modes replace the one-shot run with a resident daemon (see
+// internal/server for the request/response schema). Each reads only the
+// flags listed with it and takes no input files; any other flag is a usage
+// error, since the daemon would ignore it:
 //
 //	-serve host:port           serve POST /check, GET /stats, GET /healthz
 //	                           over HTTP, keeping the analysis cache and
 //	                           interface libraries warm between requests;
-//	                           combine with -cache-dir to persist warm
-//	                           state across restarts
-//	-serve-inflight n          max concurrent check computations
+//	                           reads -cache-dir (persist warm state across
+//	                           restarts), -serve-inflight and
+//	                           -serve-per-client
+//	-cache-serve host:port     serve the shared blob cache of sharded
+//	                           runs (GET/PUT /blob/{key}) from -cache-dir,
+//	                           which it requires; reads -cache-dir,
+//	                           -cache-max-bytes and -serve-inflight
+//	-serve-inflight n          max concurrent check computations (-serve)
+//	                           or requests (-cache-serve)
 //	-serve-per-client n        max in-flight requests per client (429 over)
 //
 // Exit status is 1 when anomalies were reported, 2 on usage or I/O errors.

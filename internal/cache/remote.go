@@ -59,14 +59,6 @@ func NewRemoteStore(base string) *RemoteStore {
 	}
 }
 
-// Base returns the server URL the store talks to ("" on nil).
-func (r *RemoteStore) Base() string {
-	if r == nil {
-		return ""
-	}
-	return r.base
-}
-
 // Get implements Store. Every failure mode — invalid key, network error,
 // non-200, oversized body, corrupt frame, undecodable entry — is a miss.
 func (r *RemoteStore) Get(key string) (*Entry, bool) {

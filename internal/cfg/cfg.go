@@ -412,18 +412,6 @@ func (g *Graph) reachable() []bool {
 	return seen
 }
 
-// Reachable returns the set of nodes reachable from Entry.
-func (g *Graph) Reachable() map[*Node]bool {
-	seen := g.reachable()
-	out := make(map[*Node]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if seen[n.ID] {
-			out[n] = true
-		}
-	}
-	return out
-}
-
 // Unreachable returns statement nodes not reachable from Entry (dead code).
 func (g *Graph) Unreachable() []*Node {
 	reach := g.reachable()

@@ -225,7 +225,7 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 			if index[n] >= index[s] {
 				// Unreached nodes are appended at the end; only check
 				// reachable ones.
-				if g.Reachable()[n] && g.Reachable()[s] {
+				if reach := g.reachable(); reach[n.ID] && reach[s.ID] {
 					t.Fatalf("edge %d->%d violates topo order", n.ID, s.ID)
 				}
 			}

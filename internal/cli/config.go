@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"golclint/internal/cpp"
@@ -84,9 +85,10 @@ type Config struct {
 	// treated as one module each and this process checks only the modules a
 	// stable hash assigns to shard i of n (see RunShard).
 	Shard string
-	// DiagJSONL is the -diag-jsonl path: every retained diagnostic is
-	// streamed to it as one self-contained JSON record per line, in output
-	// order, for cross-shard merging.
+	// DiagJSONL is the -diag-jsonl path: each module's retained
+	// diagnostics are written to it when the module finishes, one
+	// self-contained JSON record per line in output order, for cross-shard
+	// merging.
 	DiagJSONL string
 
 	StatsJSON  string // -stats-json
@@ -137,7 +139,7 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	fs.StringVar(&cfg.DumpLib, "dump-lib", "", "write an interface library to this file")
 	fs.StringVar(&cfg.LoadLib, "lib", "", "load an interface library from this file")
 	fs.StringVar(&cfg.ShowCFG, "cfg", "", "print the named function's control-flow graph")
-	fs.StringVar(&cfg.CacheDir, "cache-dir", "", "persistent analysis cache directory (empty = caching off)")
+	fs.StringVar(&cfg.CacheDir, "cache-dir", "", "persistent analysis cache directory (empty = caching off); -cfg and -dump-lib runs bypass it")
 	fs.BoolVar(&cfg.FnCache, "fn-cache", true, "function-granular cache sub-entries: a dirty module re-checks only its edited functions (false = module-granular caching)")
 	fs.BoolVar(&cfg.Stats, "stats", false, "print summary statistics")
 	fs.StringVar(&cfg.StatsJSON, "stats-json", "", "write run metrics and message counts as JSON to this file")
@@ -150,14 +152,14 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.IntVar(&cfg.MaxMsgs, "max", 0, "maximum number of messages (0 = unlimited)")
 	fs.IntVar(&cfg.Jobs, "jobs", 0, "concurrent checking workers (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&cfg.Serve, "serve", "", "run as an analysis server on this listen address (host:port) instead of checking files")
-	fs.IntVar(&cfg.ServeInFlight, "serve-inflight", 0, "server mode: maximum concurrent check computations (0 = 2x GOMAXPROCS)")
-	fs.IntVar(&cfg.ServePerClient, "serve-per-client", 0, "server mode: maximum concurrent requests per client before 429 (0 = default)")
-	fs.StringVar(&cfg.CacheServe, "cache-serve", "", "run as a shared blob-cache server on this listen address (host:port); requires -cache-dir")
+	fs.StringVar(&cfg.Serve, "serve", "", "run as an analysis server on this listen address (host:port) instead of checking files; reads only -cache-dir, -serve-inflight and -serve-per-client")
+	fs.IntVar(&cfg.ServeInFlight, "serve-inflight", 0, "-serve: maximum concurrent check computations (0 = 2x GOMAXPROCS); -cache-serve: maximum concurrent requests (0 = 64)")
+	fs.IntVar(&cfg.ServePerClient, "serve-per-client", 0, "-serve: maximum concurrent requests per client before 429 (0 = default)")
+	fs.StringVar(&cfg.CacheServe, "cache-serve", "", "run as a shared blob-cache server on this listen address (host:port); requires -cache-dir, reads only it, -cache-max-bytes and -serve-inflight")
 	fs.StringVar(&cfg.RemoteCache, "remote-cache", "", "shared blob-cache server address (host:port or URL) to layer below the disk cache")
 	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "bound the on-disk cache directory to this many bytes, evicting oldest entries (0 = unbounded)")
 	fs.StringVar(&cfg.Shard, "shard", "", "check only shard i of n ('i/n', 0 <= i < n): each source file is one module, assigned by a stable hash of its base name")
-	fs.StringVar(&cfg.DiagJSONL, "diag-jsonl", "", "stream retained diagnostics as one JSON record per line to this file (mergeable across shards)")
+	fs.StringVar(&cfg.DiagJSONL, "diag-jsonl", "", "write retained diagnostics as one JSON record per line to this file, each module's records when it finishes (mergeable across shards)")
 	fs.Var(&incDirs, "I", "include directory (repeatable); headers resolve from the source files' directories in argument order, then the -I directories in flag order")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -177,7 +179,14 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 			return nil, err
 		}
 	}
-	if msg := cfg.conflict(fs.NArg()); msg != "" {
+	// A flag given its default value changes nothing, so no mode ignores it.
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Value.String() != f.DefValue {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if msg := conflict(set, fs.NArg()); msg != "" {
 		fmt.Fprintf(errw, "golclint: %s\n", msg)
 		return nil, errors.New(msg)
 	}
@@ -196,44 +205,65 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	return cfg, nil
 }
 
+// modes is the one table of the flags each mode reads. A server mode reads
+// only the flags it lists (cmd/golclint's serve and cacheServe), so any
+// other flag beside it would be ignored. A shard worker reads every flag
+// but those it lists, whose output needs one analyzed program (-cfg,
+// -dump-lib) or describes one whole process (the trace, the hot table, the
+// profiles): a worker checks only its share of a fleet run.
+var modes = []struct {
+	flag  string
+	only  bool // flags are every flag the mode reads, not the ones it rejects
+	flags []string
+}{
+	{"-shard", false, []string{"-cfg", "-dump-lib", "-trace", "-trace-out", "-hot", "-cpuprofile", "-memprofile"}},
+	{"-serve", true, []string{"-cache-dir", "-serve-inflight", "-serve-per-client"}},
+	{"-cache-serve", true, []string{"-cache-dir", "-cache-max-bytes", "-serve-inflight"}},
+}
+
 // conflict names the first flag combination the command would otherwise
-// accept and then partly ignore, checking in a fixed order so the message
-// never depends on anything but the arguments; "" when there is none.
-// Shard workers reject every flag whose output needs one analyzed program
-// (-cfg, -dump-lib) or describes one whole process (the trace, the hot
-// table, the profiles): a worker checks only its share of a fleet run.
-// TestParseConfigConflicts classifies every pair of mode flags.
-func (cfg *Config) conflict(nargs int) string {
-	if cfg.Serve != "" {
+// accept and then partly ignore; "" when there is none. set holds the
+// flags given, in name order (flag.FlagSet.Visit). The flags are judged
+// one at a time in a fixed order, so the message never depends on argument
+// order: -cache-max-bytes, then -shard's list in table order, then the
+// rest by name. TestParseConfigConflicts classifies every pair of mode
+// flags.
+func conflict(set []string, nargs int) string {
+	has := func(f string) bool { return slices.Contains(set, f) }
+	if has("-serve") {
 		switch {
 		case nargs > 0:
 			return "-serve takes no input files"
-		case cfg.CacheServe != "":
+		case has("-cache-serve"):
 			return "-serve and -cache-serve are exclusive"
-		case cfg.CacheMaxBytes != 0:
-			return "-cache-max-bytes is not supported with -serve"
 		}
 	}
-	if cfg.CacheMaxBytes != 0 && cfg.CacheDir == "" {
-		return "-cache-max-bytes requires -cache-dir"
+	first := append([]string{"-cache-max-bytes"}, modes[0].flags...) // modes[0] is -shard
+	rank := func(f string) int {
+		if i := slices.Index(first, f); i >= 0 {
+			return i
+		}
+		return len(first)
 	}
-	if cfg.Shard != "" {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-cfg", cfg.ShowCFG != ""},
-			{"-dump-lib", cfg.DumpLib != ""},
-			{"-trace", cfg.TracePath != ""},
-			{"-trace-out", cfg.TraceOut != ""},
-			{"-hot", cfg.HotN > 0},
-			{"-cpuprofile", cfg.CPUProfile != ""},
-			{"-memprofile", cfg.MemProfile != ""},
-		} {
-			if f.set {
-				return f.name + " is not supported with -shard"
+	set = slices.Clone(set)
+	slices.SortStableFunc(set, func(a, b string) int { return rank(a) - rank(b) })
+	for _, f := range set {
+		for _, m := range modes {
+			if has(m.flag) && f != m.flag && slices.Contains(m.flags, f) != m.only {
+				return f + " is not supported with " + m.flag
 			}
 		}
+		if f == "-cache-max-bytes" && !has("-cache-dir") {
+			return "-cache-max-bytes requires -cache-dir"
+		}
+	}
+	switch {
+	case has("-serve-inflight") && !has("-serve") && !has("-cache-serve"):
+		return "-serve-inflight requires -serve or -cache-serve"
+	case has("-serve-per-client") && !has("-serve"):
+		return "-serve-per-client requires -serve"
+	case has("-cache-serve") && nargs > 0:
+		return "-cache-serve takes no input files"
 	}
 	return ""
 }

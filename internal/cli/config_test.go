@@ -92,6 +92,10 @@ var modeFlags = [][]string{
 // otherFlags are the flags that tune a run without selecting a mode.
 var otherFlags = []string{"-I", "-cpuprofile", "-flags", "-jobs", "-max", "-memprofile", "-serve-inflight", "-serve-per-client", "-stats"}
 
+// otherValues are the values the test passes to the otherFlags that take
+// one.
+var otherValues = map[string]string{"-I": "inc", "-cpuprofile": "c.prof", "-flags": "+null", "-jobs": "2", "-max": "5", "-memprofile": "m.prof", "-serve-inflight": "2", "-serve-per-client": "2"}
+
 // wholeRun are the mode flags Session.Check sets up once before the first
 // module or writes once after the last, rather than once per module.
 // -shard rejects each of them except -diag-jsonl and -stats-json, the two
@@ -153,6 +157,38 @@ func TestParseConfigConflicts(t *testing.T) {
 		"-cache-serve -fn-cache":        serveNeedsDir,
 
 		"-serve -cache-max-bytes": "-cache-max-bytes is not supported with -serve",
+		"-shard -serve":           "-shard is not supported with -serve",
+		"-serve -remote-cache":    "-remote-cache is not supported with -serve",
+		"-serve -lib":             "-lib is not supported with -serve",
+		"-serve -dump-lib":        "-dump-lib is not supported with -serve",
+		"-serve -cfg":             "-cfg is not supported with -serve",
+		"-serve -explain":         "-explain is not supported with -serve",
+		"-serve -validate":        "-validate is not supported with -serve",
+		"-serve -trace":           "-trace is not supported with -serve",
+		"-serve -trace-out":       "-trace-out is not supported with -serve",
+		"-serve -hot":             "-hot is not supported with -serve",
+		"-serve -diag-jsonl":      "-diag-jsonl is not supported with -serve",
+		"-serve -stats-json":      "-stats-json is not supported with -serve",
+		"-serve -fn-cache":        "-fn-cache is not supported with -serve",
+
+		"-serve-inflight":    "-serve-inflight requires -serve or -cache-serve",
+		"-serve-per-client":  "-serve-per-client requires -serve",
+		"-serve -I":          "-I is not supported with -serve",
+		"-serve -cpuprofile": "-cpuprofile is not supported with -serve",
+		"-serve -flags":      "-flags is not supported with -serve",
+		"-serve -jobs":       "-jobs is not supported with -serve",
+		"-serve -max":        "-max is not supported with -serve",
+		"-serve -memprofile": "-memprofile is not supported with -serve",
+		"-serve -stats":      "-stats is not supported with -serve",
+
+		"-cache-serve -I":                "-I is not supported with -cache-serve",
+		"-cache-serve -cpuprofile":       "-cpuprofile is not supported with -cache-serve",
+		"-cache-serve -flags":            "-flags is not supported with -cache-serve",
+		"-cache-serve -jobs":             "-jobs is not supported with -cache-serve",
+		"-cache-serve -max":              "-max is not supported with -cache-serve",
+		"-cache-serve -memprofile":       "-memprofile is not supported with -cache-serve",
+		"-cache-serve -serve-per-client": "-serve-per-client is not supported with -cache-serve",
+		"-cache-serve -stats":            "-stats is not supported with -cache-serve",
 
 		"-shard -cache-max-bytes":        maxNeedsDir,
 		"-remote-cache -cache-max-bytes": maxNeedsDir,
@@ -199,6 +235,17 @@ func TestParseConfigConflicts(t *testing.T) {
 			check(key, append(slices.Clone(b), a...))
 		}
 	}
+	// Each other flag alone, and beside each server mode (-cache-serve
+	// over a -cache-dir, which it requires).
+	for _, f := range otherFlags {
+		args := []string{f}
+		if v, ok := otherValues[f]; ok {
+			args = append(args, v)
+		}
+		check(f, slices.Clone(args))
+		check("-serve "+f, append([]string{"-serve", "127.0.0.1:0"}, args...))
+		check("-cache-serve "+f, append([]string{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d"}, args...))
+	}
 	// -shard rejects exactly the whole-run flags no shard worker writes
 	// for its own share.
 	for _, f := range modeFlags {
@@ -211,7 +258,7 @@ func TestParseConfigConflicts(t *testing.T) {
 
 	// Cases beyond a pair: the server modes' own rejections, the profiles
 	// -shard rejects, and several conflicts at once, which always name the
-	// same flag because the checks run in a fixed order.
+	// same flag because the flags are judged in a fixed order.
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -221,6 +268,10 @@ func TestParseConfigConflicts(t *testing.T) {
 		{[]string{"-shard", "0/2", "-cpuprofile", "c.prof", "a.c"}, "-cpuprofile is not supported with -shard"},
 		{[]string{"-shard", "0/2", "-memprofile", "m.prof", "a.c"}, "-memprofile is not supported with -shard"},
 		{[]string{"-shard", "0/2", "-memprofile", "m.prof", "-hot", "3", "-trace", "t.jsonl", "-dump-lib", "x.lib", "a.c"}, "-dump-lib is not supported with -shard"},
+		{[]string{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "a.c"}, "-cache-serve takes no input files"},
+		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc", "-trace", "t.jsonl", "-cache-max-bytes", "1"}, "-cache-max-bytes is not supported with -serve"},
+		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc", "-trace", "t.jsonl", "-shard", "0/2"}, "-trace is not supported with -shard"},
+		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc", "-serve-per-client", "2"}, "-I is not supported with -serve"},
 	} {
 		for i := 0; i < 20; i++ {
 			var out, errb bytes.Buffer
@@ -231,6 +282,16 @@ func TestParseConfigConflicts(t *testing.T) {
 	}
 	if _, err := ParseConfig([]string{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "-cache-max-bytes", "4096"}, io.Discard); err != nil {
 		t.Errorf("-cache-serve over a bounded -cache-dir rejected: %v", err)
+	}
+	// A flag given its default value changes nothing, so no mode rejects it.
+	for _, args := range [][]string{
+		{"-serve", "127.0.0.1:0", "-fn-cache=true", "-jobs", "0", "-cache-max-bytes", "0", "-lib", ""},
+		{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "-stats=false", "-serve-per-client", "0"},
+		{"-shard", "0/2", "-hot", "0", "-cfg", "", "-cache-max-bytes", "0", "-serve-inflight", "0", "a.c"},
+	} {
+		if _, err := ParseConfig(args, io.Discard); err != nil {
+			t.Errorf("%q rejected: %v", args, err)
+		}
 	}
 }
 

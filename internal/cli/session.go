@@ -64,10 +64,6 @@ func NewSession(cacheDir string) (*Session, error) {
 	return s, nil
 }
 
-// SetRemote layers a remote blob store below the disk cache (distributed
-// sharded checking: workers coordinate only through this shared store).
-func (s *Session) SetRemote(r *cache.RemoteStore) { s.remote = r }
-
 // Store composes the session's entry store from its configured layers,
 // fastest first: memory over disk over remote. A Get falls through until a
 // layer hits and the entry is promoted into every faster layer; a Put
@@ -174,8 +170,9 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 // point: Execute, RunShard and the analysis server's requests. It has three
 // parts:
 //   - once per run, before the first module: metrics and the run span,
-//     -trace and the profiles, the -lib load and the -diag-jsonl writer;
-//   - per module: load and check;
+//     -trace and the profiles, the -lib load and the -diag-jsonl file;
+//   - per module: load, check, and write the module's -diag-jsonl records
+//     from its Result;
 //   - once per run, after the last module: the trace, the report (each
 //     module's errors and messages, in module order), -trace-out, -hot,
 //     -cfg, -dump-lib, -stats and -stats-json.
@@ -234,8 +231,8 @@ func (s *Session) Check(cfg *Config, mods []Module, stdout, stderr io.Writer) (i
 
 	opt := core.Options{Flags: cfg.Flags, Metrics: metrics, Jobs: cfg.Jobs, Explain: cfg.Explain}
 	var jsonlFile *os.File
-	var jsonlBuf *bufio.Writer
-	var jsonlWriter *DiagJSONLWriter
+	var jsonl *bufio.Writer
+	var jsonlErr error // the first -diag-jsonl write error
 	if cfg.DiagJSONL != "" {
 		f, err := os.Create(cfg.DiagJSONL)
 		if err != nil {
@@ -243,9 +240,7 @@ func (s *Session) Check(cfg *Config, mods []Module, stdout, stderr io.Writer) (i
 			return 2, nil
 		}
 		defer f.Close()
-		jsonlFile, jsonlBuf = f, bufio.NewWriter(f)
-		jsonlWriter = NewDiagJSONLWriter(jsonlBuf, "", diagRenderMode(cfg.Explain, cfg.Validate))
-		opt.DiagSink = jsonlWriter.Sink
+		jsonlFile, jsonl = f, bufio.NewWriter(f)
 	}
 	if cfg.Validate {
 		opt.Validate = func(prog *sema.Program, diags []*diag.Diagnostic) {
@@ -297,11 +292,11 @@ func (s *Session) Check(cfg *Config, mods []Module, stdout, stderr io.Writer) (i
 		// Drop the loader, which may hold the sources: they are garbage
 		// once preprocessed, about 1 MB of live heap per 100K lines.
 		mods[i].Load = nil
-		if jsonlWriter != nil {
-			jsonlWriter.SetModule(mods[i].Name)
-		}
 		opt.Includes = inc
 		mres := core.CheckSources(files, opt)
+		if jsonl != nil && jsonlErr == nil {
+			jsonlErr = writeDiagJSONL(jsonl, cfg, mods[i].Name, mres.Diags)
+		}
 		errs = append(append(errs, mres.ParseErrors...), mres.SemaErrors...)
 		if len(mods) == 1 {
 			res = mres
@@ -323,13 +318,13 @@ func (s *Session) Check(cfg *Config, mods []Module, stdout, stderr io.Writer) (i
 		}
 	}
 
-	if jsonlWriter != nil {
-		err := jsonlBuf.Flush()
+	if jsonl != nil {
+		err := jsonlErr
+		if ferr := jsonl.Flush(); err == nil {
+			err = ferr
+		}
 		if cerr := jsonlFile.Close(); err == nil {
 			err = cerr
-		}
-		if err == nil {
-			err = jsonlWriter.Err()
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "golclint: diag-jsonl: %v\n", err)
@@ -402,14 +397,24 @@ func printReport(cfg *Config, res *core.Result, errs []string, stdout, stderr io
 	for _, e := range errs {
 		fmt.Fprintf(stderr, "%v\n", e)
 	}
+	var b strings.Builder
+	for _, d := range res.Diags {
+		b.WriteString(cfg.render(d))
+		b.WriteByte('\n')
+	}
+	io.WriteString(stdout, b.String())
+}
+
+// render is d as the run prints it. Explain wins over validate: its
+// witness block includes the validation line when -validate also ran.
+func (cfg *Config) render(d *diag.Diagnostic) string {
 	switch {
 	case cfg.Explain:
-		// Explain output includes the validation line when -validate also ran.
-		fmt.Fprint(stdout, res.ExplainedMessages())
+		return d.Explain()
 	case cfg.Validate:
-		fmt.Fprint(stdout, res.ValidatedMessages())
+		return d.Validated()
 	default:
-		fmt.Fprint(stdout, res.Messages())
+		return d.String()
 	}
 }
 

@@ -133,8 +133,8 @@ func BenchmarkCheckFunction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := diag.NewReporter(0)
-		CheckFunction(res.Program, fl, rep, fn[len(fn)-1])
+		c := &checker{prog: res.Program, fl: fl, rep: diag.NewReporter(0), fs: newFnState(), unknown: map[string]bool{}}
+		c.checkFunction(fn[len(fn)-1])
 	}
 }
 

@@ -93,13 +93,6 @@ type Options struct {
 	// EnvFingerprint is set. Benchmark baselines use it to measure the
 	// module-granular warm path the layer is compared against.
 	DisableFnCache bool
-	// DiagSink, when non-nil, receives each retained diagnostic in final
-	// output order as soon as the run's diagnostics are settled
-	// (post-suppression, post-cap, post-validation) — on warm replays as
-	// well as cold checks. Shard workers stream per-module diagnostics
-	// through it instead of buffering a whole run's output; the sink must
-	// not mutate the diagnostic.
-	DiagSink func(*diag.Diagnostic)
 }
 
 // Library is an interface environment a module is checked against: the
@@ -150,18 +143,6 @@ func (r *Result) ExplainedMessages() string {
 	var b []byte
 	for _, d := range r.Diags {
 		b = append(b, d.Explain()...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-// ValidatedMessages renders the diagnostics with their validation tags
-// appended (the -validate surface, without full witnesses). Identical to
-// Messages when no validation ran.
-func (r *Result) ValidatedMessages() string {
-	var b []byte
-	for _, d := range r.Diags {
-		b = append(b, d.Validated()...)
 		b = append(b, '\n')
 	}
 	return string(b)
@@ -437,7 +418,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			// nothing was re-executed).
 			countValidation(m, res.Diags)
 			m.EndSpan(modSpan)
-			emitDiags(opt.DiagSink, res.Diags)
 			return res
 		}
 		inc = answers
@@ -546,18 +526,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		m.Add(obs.DiagnosticsSuppressed, int64(res.Suppressed))
 	}
 	m.EndSpan(modSpan)
-	emitDiags(opt.DiagSink, res.Diags)
 	return res
-}
-
-// emitDiags streams the settled diagnostics to the sink, in output order.
-func emitDiags(sink func(*diag.Diagnostic), diags []*diag.Diagnostic) {
-	if sink == nil {
-		return
-	}
-	for _, d := range diags {
-		sink(d)
-	}
 }
 
 // moduleName labels a module span by its files.

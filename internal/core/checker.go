@@ -77,9 +77,6 @@ func (c *checker) lookupEnum(name string) (int64, bool) {
 	return v, ok
 }
 
-// key returns the canonical key string for id.
-func (c *checker) key(id RefID) string { return c.fs.in.keys[id] }
-
 // disp returns the user-facing spelling for id (cached).
 func (c *checker) disp(id RefID) string { return c.fs.in.displayOf(id) }
 
@@ -198,13 +195,6 @@ func mergeDiags(rep *diag.Reporter, results [][]*diag.Diagnostic, fnc *fnCacheCt
 			}
 		}
 	}
-}
-
-// CheckFunction checks a single function definition (used by tests and
-// the modular-checking library path).
-func CheckFunction(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, f *cast.FuncDef) {
-	c := &checker{prog: prog, fl: fl, rep: rep, fs: newFnState(), unknown: map[string]bool{}}
-	c.checkFunction(f)
 }
 
 // checkFunctionTimed wraps checkFunction with the per-function counters and

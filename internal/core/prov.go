@@ -60,20 +60,11 @@ func (c *checker) provEvent(id RefID, pos ctoken.Pos, kind, format string, args 
 	})
 }
 
-// provPush records entering a branch arm; provPop leaves it. The checker
-// analyzes one function on one goroutine, so a plain stack mirrors the
-// recursive statement walk exactly.
-func (c *checker) provPush(pos ctoken.Pos, format string, args ...interface{}) {
-	if c.prov == nil {
-		return
-	}
-	c.prov.trail = append(c.prov.trail, diag.ProvStep{
-		Pos: pos, Kind: "branch", Msg: fmt.Sprintf(format, args...),
-	})
-}
-
-// provPushCond records entering a branch arm guarded by cond. The
-// condition renders to text only when recording is on.
+// provPushCond records entering a branch arm guarded by cond;
+// provPushLoop and provPop below record entering a loop body and leaving
+// either. The checker analyzes one function on one goroutine, so a plain
+// stack mirrors the recursive statement walk exactly. The condition
+// renders to text only when recording is on.
 func (c *checker) provPushCond(pos ctoken.Pos, cond cast.Expr, taken bool) {
 	if c.prov == nil {
 		return

@@ -464,9 +464,6 @@ func (r *Reporter) MarkILine(file string, line int) {
 	r.iLines[fmt.Sprintf("%s:%d", file, line)] = true
 }
 
-// AddRegion registers an ignore region directly.
-func (r *Reporter) AddRegion(reg Region) { r.regions = append(r.regions, reg) }
-
 // classOff reports whether code is disabled at pos by a local flag toggle.
 func (r *Reporter) classOff(code Code, pos ctoken.Pos) bool {
 	for _, sp := range r.offSpans {

@@ -152,7 +152,3 @@ func registerStdlib(p *Program) {
 		Params: []ctypes.Param{{Name: "cond", Type: ctypes.IntType}},
 	})
 }
-
-// SizeT returns the builtin size_t type for use by drivers that predefine
-// it in the parser's typedef table.
-func SizeT() *ctypes.Type { return sizeT }
