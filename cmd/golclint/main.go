@@ -40,16 +40,17 @@
 //	-serve host:port           serve POST /check, GET /stats, GET /healthz
 //	                           over HTTP, keeping the analysis cache and
 //	                           interface libraries warm between requests;
-//	                           reads -cache-dir (persist warm state across
-//	                           restarts), -serve-inflight and
-//	                           -serve-per-client
+//	                           reads only -cache-dir (persist warm state
+//	                           across restarts)
 //	-cache-serve host:port     serve the shared blob cache of sharded
 //	                           runs (GET/PUT /blob/{key}) from -cache-dir,
-//	                           which it requires; reads -cache-dir,
-//	                           -cache-max-bytes and -serve-inflight
-//	-serve-inflight n          max concurrent check computations (-serve)
-//	                           or requests (-cache-serve)
-//	-serve-per-client n        max in-flight requests per client (429 over)
+//	                           which it requires; reads -cache-dir and
+//	                           -cache-max-bytes
+//
+// Both servers cap request bodies at 64 MiB. The analysis server runs at
+// most 2×GOMAXPROCS checks at once and answers 429 to a client with 8
+// requests in flight; the blob server serves 64 requests at once and
+// answers 503 beyond.
 //
 // Exit status is 1 when anomalies were reported, 2 on usage or I/O errors.
 //
@@ -90,11 +91,7 @@ func run(args []string) int {
 // checking: GET/PUT /blob/{key} over the -cache-dir directory, bounded by
 // -cache-max-bytes.
 func cacheServe(cfg *cli.Config) int {
-	srv, err := server.NewBlob(server.BlobOptions{
-		Dir:         cfg.CacheDir,
-		MaxBytes:    cfg.CacheMaxBytes,
-		MaxInFlight: cfg.ServeInFlight,
-	})
+	srv, err := server.NewBlob(server.BlobOptions{Dir: cfg.CacheDir, MaxBytes: cfg.CacheMaxBytes})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "golclint: %v\n", err)
 		return 2
@@ -115,11 +112,7 @@ func cacheServe(cfg *cli.Config) int {
 // serve runs the analysis daemon until the listener fails (or the process
 // is signalled).
 func serve(cfg *cli.Config) int {
-	srv, err := server.New(server.Options{
-		CacheDir:    cfg.CacheDir,
-		MaxInFlight: cfg.ServeInFlight,
-		PerClient:   cfg.ServePerClient,
-	})
+	srv, err := server.New(server.Options{CacheDir: cfg.CacheDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "golclint: %v\n", err)
 		return 2

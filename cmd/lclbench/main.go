@@ -1136,7 +1136,7 @@ func runValidate(quick bool) (benchDoc, error) {
 // pays neither process startup nor cold analysis. The experiment compares a
 // cold single-shot CLI run over an E9-style corpus against warm requests to
 // a live server (same corpus, same checker path), records warm p50/p99 and
-// coalescing under concurrent clients, and BENCH_serve.json carries the
+// memo replays under concurrent clients, and BENCH_serve.json carries the
 // speedup its gate holds at >= 5x.
 
 // serveDoc is BENCH_serve.json.
@@ -1161,7 +1161,6 @@ type serveDoc struct {
 	Clients       int     `json:"clients"`
 	BurstReqs     int     `json:"burst_reqs"`
 	ThroughputRPS float64 `json:"throughput_rps"`
-	Coalesced     int64   `json:"coalesced"`
 	MemoHits      int64   `json:"memo_hits"`
 	// Resident-state footprint at the end of the run.
 	CacheEntries int   `json:"cache_entries"`
@@ -1223,7 +1222,7 @@ func runServe(quick bool) (benchDoc, error) {
 	warm := doc.record("warm_p50_ns", timeReps(1, warmReqs, func() { post(batch) })[0])
 
 	// Concurrent clients over per-module requests (primed once each):
-	// the editor-fleet shape. Identical in-flight requests coalesce.
+	// the editor-fleet shape. Repeats of a resident request replay the memo.
 	var perMod [][]byte
 	for _, name := range sortedKeys(p.Files) {
 		body, err := json.Marshal(&server.CheckRequest{Files: map[string]string{name: p.Files[name]}, Headers: p.Headers})
@@ -1260,7 +1259,7 @@ func runServe(quick bool) (benchDoc, error) {
 	doc.SpeedupWarm = float64(doc.ColdCLINS) / float64(doc.WarmP50NS)
 	doc.BurstReqs = clients * 2 * len(perMod)
 	doc.ThroughputRPS = float64(doc.BurstReqs) / (float64(burst.MedianNS) / 1e9)
-	doc.Coalesced, doc.MemoHits = st.Coalesced, st.MemoHits
+	doc.MemoHits = st.MemoHits
 	mem := st.CacheStores["mem"]
 	doc.CacheEntries, doc.CacheBytes = mem.Entries, mem.Bytes
 
@@ -1270,8 +1269,8 @@ func runServe(quick bool) (benchDoc, error) {
 	fmt.Printf("%-24s %12.2f ms  p99 %.2f ms (%d reqs)\n", "warm server request p50",
 		float64(doc.WarmP50NS)/1e6, float64(doc.WarmP99NS)/1e6, warmReqs)
 	fmt.Printf("warm speedup vs cold CLI: %.1fx (gate: >= 5x)\n", doc.SpeedupWarm)
-	fmt.Printf("%d clients, %d requests: %.0f req/s, %d coalesced, %d memo replays\n",
-		doc.Clients, doc.BurstReqs, doc.ThroughputRPS, doc.Coalesced, doc.MemoHits)
+	fmt.Printf("%d clients, %d requests: %.0f req/s, %d memo replays\n",
+		doc.Clients, doc.BurstReqs, doc.ThroughputRPS, doc.MemoHits)
 	fmt.Printf("resident cache: %d entries, %d bytes\n", doc.CacheEntries, doc.CacheBytes)
 	fmt.Println("paper extension: a resident checker turns whole-corpus re-checks into millisecond requests")
 	return doc, nil

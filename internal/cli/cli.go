@@ -46,8 +46,14 @@ func Run(args []string, stdout, stderr io.Writer) int {
 // RunConfig executes one parsed one-shot invocation: load inputs, open the
 // on-disk cache if asked, check, render. Each call uses a transient Session
 // holding no resident state, so one-shot behavior (and output) is identical
-// to what the monolithic Run always produced.
+// to what the monolithic Run always produced. The server modes run only
+// from cmd/golclint, which imports the servers; RunConfig refuses them with
+// exit 2 rather than checking no files.
 func RunConfig(cfg *Config, stdout, stderr io.Writer) int {
+	if cfg.Serve != "" || cfg.CacheServe != "" {
+		fmt.Fprintln(stderr, "golclint: -serve and -cache-serve run only from the golclint command")
+		return 2
+	}
 	if cfg.Shard != "" {
 		return RunShard(cfg, stdout, stderr)
 	}

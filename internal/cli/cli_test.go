@@ -147,3 +147,17 @@ func TestLibAndPlainEntriesStayApart(t *testing.T) {
 		}
 	}
 }
+
+// The server modes run only from cmd/golclint: Run given one refuses it
+// with exit 2 and one stderr line rather than checking no files.
+func TestRunRefusesServerModes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-serve", "127.0.0.1:0"},
+		{"-cache-serve", "127.0.0.1:0", "-cache-dir", t.TempDir()},
+	} {
+		code, out, errs := runCLI(t, args...)
+		if want := "golclint: -serve and -cache-serve run only from the golclint command\n"; code != 2 || out != "" || errs != want {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 2, stderr %q", args, code, out, errs, want)
+		}
+	}
+}

@@ -102,15 +102,13 @@ type Config struct {
 	Jobs    int // -jobs
 
 	// Serve is the -serve listen address. When set, cmd/golclint starts the
-	// analysis server instead of a one-shot run, and Paths may be empty.
+	// analysis server instead of a one-shot run, and Paths may be empty;
+	// RunConfig refuses it.
 	Serve string
-	// ServeInFlight and ServePerClient bound the server's concurrent checks
-	// globally and per client (0 = server defaults).
-	ServeInFlight  int
-	ServePerClient int
 	// CacheServe is the -cache-serve listen address. When set, cmd/golclint
 	// runs the shared blob-cache server (backed by -cache-dir, bounded by
-	// -cache-max-bytes) instead of checking files, and Paths may be empty.
+	// -cache-max-bytes) instead of checking files, and Paths may be empty;
+	// RunConfig refuses it.
 	CacheServe string
 
 	// Lib, when non-nil, is a preloaded interface library to check against —
@@ -152,10 +150,8 @@ func ParseConfig(args []string, errw io.Writer) (*Config, error) {
 	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.IntVar(&cfg.MaxMsgs, "max", 0, "maximum number of messages (0 = unlimited)")
 	fs.IntVar(&cfg.Jobs, "jobs", 0, "concurrent checking workers (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&cfg.Serve, "serve", "", "run as an analysis server on this listen address (host:port) instead of checking files; reads only -cache-dir, -serve-inflight and -serve-per-client")
-	fs.IntVar(&cfg.ServeInFlight, "serve-inflight", 0, "-serve: maximum concurrent check computations (0 = 2x GOMAXPROCS); -cache-serve: maximum concurrent requests (0 = 64)")
-	fs.IntVar(&cfg.ServePerClient, "serve-per-client", 0, "-serve: maximum concurrent requests per client before 429 (0 = default)")
-	fs.StringVar(&cfg.CacheServe, "cache-serve", "", "run as a shared blob-cache server on this listen address (host:port); requires -cache-dir, reads only it, -cache-max-bytes and -serve-inflight")
+	fs.StringVar(&cfg.Serve, "serve", "", "run as an analysis server on this listen address (host:port) instead of checking files; reads only -cache-dir")
+	fs.StringVar(&cfg.CacheServe, "cache-serve", "", "run as a shared blob-cache server on this listen address (host:port); requires -cache-dir, reads only it and -cache-max-bytes")
 	fs.StringVar(&cfg.RemoteCache, "remote-cache", "", "shared blob-cache server address (host:port or URL) to layer below the disk cache")
 	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "bound the on-disk cache directory to this many bytes, evicting oldest entries (0 = unbounded)")
 	fs.StringVar(&cfg.Shard, "shard", "", "check only shard i of n ('i/n', 0 <= i < n): each source file is one module, assigned by a stable hash of its base name")
@@ -217,8 +213,8 @@ var modes = []struct {
 	flags []string
 }{
 	{"-shard", false, []string{"-cfg", "-dump-lib", "-trace", "-trace-out", "-hot", "-cpuprofile", "-memprofile"}},
-	{"-serve", true, []string{"-cache-dir", "-serve-inflight", "-serve-per-client"}},
-	{"-cache-serve", true, []string{"-cache-dir", "-cache-max-bytes", "-serve-inflight"}},
+	{"-serve", true, []string{"-cache-dir"}},
+	{"-cache-serve", true, []string{"-cache-dir", "-cache-max-bytes"}},
 }
 
 // conflict names the first flag combination the command would otherwise
@@ -257,12 +253,7 @@ func conflict(set []string, nargs int) string {
 			return "-cache-max-bytes requires -cache-dir"
 		}
 	}
-	switch {
-	case has("-serve-inflight") && !has("-serve") && !has("-cache-serve"):
-		return "-serve-inflight requires -serve or -cache-serve"
-	case has("-serve-per-client") && !has("-serve"):
-		return "-serve-per-client requires -serve"
-	case has("-cache-serve") && nargs > 0:
+	if has("-cache-serve") && nargs > 0 {
 		return "-cache-serve takes no input files"
 	}
 	return ""

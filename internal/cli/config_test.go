@@ -90,11 +90,11 @@ var modeFlags = [][]string{
 }
 
 // otherFlags are the flags that tune a run without selecting a mode.
-var otherFlags = []string{"-I", "-cpuprofile", "-flags", "-jobs", "-max", "-memprofile", "-serve-inflight", "-serve-per-client", "-stats"}
+var otherFlags = []string{"-I", "-cpuprofile", "-flags", "-jobs", "-max", "-memprofile", "-stats"}
 
 // otherValues are the values the test passes to the otherFlags that take
 // one.
-var otherValues = map[string]string{"-I": "inc", "-cpuprofile": "c.prof", "-flags": "+null", "-jobs": "2", "-max": "5", "-memprofile": "m.prof", "-serve-inflight": "2", "-serve-per-client": "2"}
+var otherValues = map[string]string{"-I": "inc", "-cpuprofile": "c.prof", "-flags": "+null", "-jobs": "2", "-max": "5", "-memprofile": "m.prof"}
 
 // wholeRun are the mode flags Session.Check sets up once before the first
 // module or writes once after the last, rather than once per module.
@@ -171,8 +171,6 @@ func TestParseConfigConflicts(t *testing.T) {
 		"-serve -stats-json":      "-stats-json is not supported with -serve",
 		"-serve -fn-cache":        "-fn-cache is not supported with -serve",
 
-		"-serve-inflight":    "-serve-inflight requires -serve or -cache-serve",
-		"-serve-per-client":  "-serve-per-client requires -serve",
 		"-serve -I":          "-I is not supported with -serve",
 		"-serve -cpuprofile": "-cpuprofile is not supported with -serve",
 		"-serve -flags":      "-flags is not supported with -serve",
@@ -181,14 +179,13 @@ func TestParseConfigConflicts(t *testing.T) {
 		"-serve -memprofile": "-memprofile is not supported with -serve",
 		"-serve -stats":      "-stats is not supported with -serve",
 
-		"-cache-serve -I":                "-I is not supported with -cache-serve",
-		"-cache-serve -cpuprofile":       "-cpuprofile is not supported with -cache-serve",
-		"-cache-serve -flags":            "-flags is not supported with -cache-serve",
-		"-cache-serve -jobs":             "-jobs is not supported with -cache-serve",
-		"-cache-serve -max":              "-max is not supported with -cache-serve",
-		"-cache-serve -memprofile":       "-memprofile is not supported with -cache-serve",
-		"-cache-serve -serve-per-client": "-serve-per-client is not supported with -cache-serve",
-		"-cache-serve -stats":            "-stats is not supported with -cache-serve",
+		"-cache-serve -I":          "-I is not supported with -cache-serve",
+		"-cache-serve -cpuprofile": "-cpuprofile is not supported with -cache-serve",
+		"-cache-serve -flags":      "-flags is not supported with -cache-serve",
+		"-cache-serve -jobs":       "-jobs is not supported with -cache-serve",
+		"-cache-serve -max":        "-max is not supported with -cache-serve",
+		"-cache-serve -memprofile": "-memprofile is not supported with -cache-serve",
+		"-cache-serve -stats":      "-stats is not supported with -cache-serve",
 
 		"-shard -cache-max-bytes":        maxNeedsDir,
 		"-remote-cache -cache-max-bytes": maxNeedsDir,
@@ -271,7 +268,7 @@ func TestParseConfigConflicts(t *testing.T) {
 		{[]string{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "a.c"}, "-cache-serve takes no input files"},
 		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc", "-trace", "t.jsonl", "-cache-max-bytes", "1"}, "-cache-max-bytes is not supported with -serve"},
 		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc", "-trace", "t.jsonl", "-shard", "0/2"}, "-trace is not supported with -shard"},
-		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc", "-serve-per-client", "2"}, "-I is not supported with -serve"},
+		{[]string{"-serve", "127.0.0.1:0", "-stats", "-jobs", "2", "-I", "inc"}, "-I is not supported with -serve"},
 	} {
 		for i := 0; i < 20; i++ {
 			var out, errb bytes.Buffer
@@ -280,14 +277,23 @@ func TestParseConfigConflicts(t *testing.T) {
 			}
 		}
 	}
+	// The servers' admission limits are fixed: their former flags are
+	// undefined, a parse failure like any unknown flag.
+	for _, f := range []string{"-serve-inflight", "-serve-per-client"} {
+		var out, errb bytes.Buffer
+		code := Run([]string{"-serve", "127.0.0.1:0", f, "2"}, &out, &errb)
+		if first, _, _ := strings.Cut(errb.String(), "\n"); code != 2 || first != "flag provided but not defined: "+f {
+			t.Errorf("-serve %s 2: exit %d, stderr %q; want exit 2, undefined flag", f, code, errb.String())
+		}
+	}
 	if _, err := ParseConfig([]string{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "-cache-max-bytes", "4096"}, io.Discard); err != nil {
 		t.Errorf("-cache-serve over a bounded -cache-dir rejected: %v", err)
 	}
 	// A flag given its default value changes nothing, so no mode rejects it.
 	for _, args := range [][]string{
 		{"-serve", "127.0.0.1:0", "-fn-cache=true", "-jobs", "0", "-cache-max-bytes", "0", "-lib", ""},
-		{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "-stats=false", "-serve-per-client", "0"},
-		{"-shard", "0/2", "-hot", "0", "-cfg", "", "-cache-max-bytes", "0", "-serve-inflight", "0", "a.c"},
+		{"-cache-serve", "127.0.0.1:0", "-cache-dir", "d", "-stats=false"},
+		{"-shard", "0/2", "-hot", "0", "-cfg", "", "-cache-max-bytes", "0", "a.c"},
 	} {
 		if _, err := ParseConfig(args, io.Discard); err != nil {
 			t.Errorf("%q rejected: %v", args, err)
@@ -299,11 +305,11 @@ func TestParseConfigConflicts(t *testing.T) {
 // positional arguments.
 func TestParseConfigServe(t *testing.T) {
 	var errb bytes.Buffer
-	cfg, err := ParseConfig([]string{"-serve", "127.0.0.1:0", "-serve-inflight", "3", "-serve-per-client", "2"}, &errb)
+	cfg, err := ParseConfig([]string{"-serve", "127.0.0.1:0", "-cache-dir", "d"}, &errb)
 	if err != nil {
 		t.Fatalf("ParseConfig: %v (stderr %q)", err, errb.String())
 	}
-	if cfg.Serve != "127.0.0.1:0" || cfg.ServeInFlight != 3 || cfg.ServePerClient != 2 {
+	if cfg.Serve != "127.0.0.1:0" || cfg.CacheDir != "d" {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	if len(cfg.Paths) != 0 {

@@ -119,7 +119,9 @@ func (s *Session) ResidentLibraries() int {
 // library rebuild every cold CLI run pays. Dirty-module detection is
 // downstream: cached module entries record per-symbol fingerprints from
 // this library (Library.Fingerprints), so an interface change invalidates
-// exactly the dependents. Returns nil for an empty header set.
+// exactly the dependents. A header that #includes another header of the
+// set sees its declarations, as -dump-lib over the same files does. Returns
+// nil for an empty header set.
 func (s *Session) LibraryFor(headers map[string]string) *library.Library {
 	if len(headers) == 0 {
 		return nil
@@ -133,7 +135,7 @@ func (s *Session) LibraryFor(headers map[string]string) *library.Library {
 	if lib, ok := s.libs[key]; ok {
 		return lib
 	}
-	res := core.CheckSources(headers, core.Options{})
+	res := core.CheckSources(headers, core.Options{Includes: cpp.MapIncluder(headers)})
 	lib := library.Build(res.Program)
 	if len(s.libs) >= maxResidentLibraries {
 		// Arbitrary eviction: the memo is a warmth optimization, rebuilt on

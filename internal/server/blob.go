@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -27,13 +26,15 @@ import (
 // store bytes it could not serve. Keys are validated against the blob-key
 // alphabet before touching the filesystem. Storage is the same bounded
 // on-disk cache the CLI uses, so `-cache-max-bytes` keeps a fleet-hammered
-// server from growing without bound.
+// server from growing without bound. It serves at most 64 requests at once
+// (503 beyond) and caps PUT bodies at 64 MiB.
 type BlobServer struct {
 	store *cache.Cache
 	opts  BlobOptions
 	start time.Time
 
-	sem chan struct{} // request slots
+	sem     chan struct{} // request slots
+	maxBody int64         // PUT body cap; tests lower it in-package
 
 	gets, puts, errors, rejected atomic.Int64
 }
@@ -44,10 +45,6 @@ type BlobOptions struct {
 	Dir string
 	// MaxBytes bounds the backing store with eviction; 0 means unbounded.
 	MaxBytes int64
-	// MaxInFlight bounds concurrently served requests; 0 means 64.
-	MaxInFlight int
-	// MaxBodyBytes caps PUT bodies; 0 means 64 MiB.
-	MaxBodyBytes int64
 }
 
 // NewBlob builds a blob server over its backing directory.
@@ -55,22 +52,17 @@ func NewBlob(o BlobOptions) (*BlobServer, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("blob server: cache directory required")
 	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 64
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = defaultBody
-	}
 	store, err := cache.Open(o.Dir)
 	if err != nil {
 		return nil, err
 	}
 	store.SetMaxBytes(o.MaxBytes)
 	return &BlobServer{
-		store: store,
-		opts:  o,
-		start: time.Now(),
-		sem:   make(chan struct{}, o.MaxInFlight),
+		store:   store,
+		opts:    o,
+		start:   time.Now(),
+		sem:     make(chan struct{}, blobSlots),
+		maxBody: maxBody,
 	}, nil
 }
 
@@ -121,11 +113,10 @@ func (s *BlobServer) handleBlob(w http.ResponseWriter, r *http.Request) {
 		w.Write(b)
 	case http.MethodPut:
 		s.puts.Add(1)
-		defer r.Body.Close()
-		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+		b, status, err := readBody(w, r, s.maxBody)
 		if err != nil {
 			s.errors.Add(1)
-			http.Error(w, "reading body: "+err.Error(), http.StatusRequestEntityTooLarge)
+			http.Error(w, "reading body: "+err.Error(), status)
 			return
 		}
 		if err := s.store.PutBytes(key, b); err != nil {

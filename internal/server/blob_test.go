@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"golclint/internal/cache"
 	"golclint/internal/ctoken"
@@ -114,6 +117,37 @@ func TestBlobServerRejectsGarbage(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE = %d, want 405", resp.StatusCode)
+	}
+}
+
+// A PUT body that cannot be read is answered as the analysis server
+// answers it: 413 when it runs over the cap, 400 for any other read error.
+// Neither stores anything.
+func TestBlobServerBodyErrors(t *testing.T) {
+	bs, err := NewBlob(BlobOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs.maxBody = 16
+	h := bs.Handler()
+	key := strings.Repeat("ab", 32)
+	cases := []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"read error", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+		{"over the cap", strings.NewReader(strings.Repeat("x", 17)), http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/blob/"+key, tc.body))
+		if rec.Code != tc.want || !strings.HasPrefix(rec.Body.String(), "reading body: ") {
+			t.Errorf("%s: PUT = %d %q, want %d", tc.name, rec.Code, rec.Body, tc.want)
+		}
+	}
+	if s := bs.StatsSnapshot(); s.Errors != int64(len(cases)) || s.Store.Entries != 0 {
+		t.Errorf("errors = %d, entries = %d; want %d, 0", s.Errors, s.Store.Entries, len(cases))
 	}
 }
 

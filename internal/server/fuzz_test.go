@@ -21,12 +21,13 @@ var (
 func fuzzHandler(t testing.TB) http.Handler {
 	fuzzOnce.Do(func() {
 		var err error
-		// A small body cap keeps oversized-input executions cheap; the cap
-		// path itself (413) is part of the surface under test.
-		fuzzSrv, err = New(Options{MaxBodyBytes: 1 << 20, PerClient: 64})
+		fuzzSrv, err = New(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A small body cap keeps oversized-input executions cheap; the cap
+		// path itself (413) is part of the surface under test.
+		fuzzSrv.maxBody = 1 << 20
 	})
 	return fuzzSrv.Handler()
 }

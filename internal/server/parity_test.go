@@ -70,15 +70,23 @@ func TestServerModeIsolation(t *testing.T) {
 // checked against the library built from the request's headers. Each
 // response must equal the CLI's per-module run against the same library:
 // -dump-lib over the headers, then -shard 0/1 -lib over the files. In the
-// hand-written input, a.c calls mk without declaring it, so only the
-// library tells the checker mk may return null.
+// hand-written inputs, a.c calls mk without declaring it, so only the
+// library tells the checker mk may return null. In "chained", mk's
+// declaration needs a type from another header that mk.h includes.
 func TestServerBatchParity(t *testing.T) {
+	use := "void use (void)\n{\n\tchar *p = mk ();\n\t*p = 0;\n}\n"
 	ins := []*pt.Input{{Name: "libonly", Steps: []pt.Source{{
 		Files: map[string]string{
-			"a.c": "void use (void)\n{\n\tchar *p = mk ();\n\t*p = 0;\n}\n",
+			"a.c": use,
 			"b.c": "#include \"mk.h\"\n\nvoid keep (void)\n{\n\tchar *q = dup (\"b\");\n}\n",
 		},
 		Headers: map[string]string{"mk.h": "extern /*@null@*/ char *mk (void);\nextern /*@only@*/ char *dup (char *s);\n"},
+	}}}, {Name: "chained", Steps: []pt.Source{{
+		Files: map[string]string{"a.c": use},
+		Headers: map[string]string{
+			"t.h":  "typedef char *str;\n",
+			"mk.h": "#include \"t.h\"\nextern /*@null@*/ str mk (void);\n",
+		},
 	}}}}
 	p := testgen.Generate(testgen.Config{Seed: 11, Modules: 4, FuncsPer: 3, Annotate: true, Bugs: pt.AllBugs(2)})
 	ins = append(ins, &pt.Input{Name: "seed11", Steps: []pt.Source{pt.Generated(p)}})

@@ -18,9 +18,10 @@
 // the same cli.Session code path, against a resident cache.Store layered
 // over the on-disk cache.
 //
-// Identical in-flight requests coalesce into one computation
-// (singleflight), and global plus per-client concurrency limits keep one
-// daemon safe under a CI fleet.
+// A request runs decode → validate → admit → memo → compute. Fixed limits
+// keep one daemon safe under a CI fleet: a 64 MiB body cap, 8 requests in
+// flight per client (429 beyond), and 2×GOMAXPROCS concurrent
+// computations (later ones queue).
 package server
 
 import (
@@ -44,14 +45,17 @@ import (
 	"golclint/internal/obs"
 )
 
-// Request-validation bounds. They exist to make the daemon safe against
-// absurd inputs (fuzzed or hostile), not to constrain real use.
+// Request-validation bounds and admission limits. They exist to keep the
+// daemons safe against absurd inputs (fuzzed or hostile) and overload, not
+// to constrain real use.
 const (
-	maxJobs     = 512
-	maxFiles    = 4096
-	maxNameLen  = 4096
-	defaultBody = 64 << 20 // request body cap
-	memoLimit   = 64 << 20 // encoded-response memo cap
+	maxJobs    = 512
+	maxFiles   = 4096
+	maxNameLen = 4096
+	maxBody    = 64 << 20 // request body cap, both servers
+	memoLimit  = 64 << 20 // encoded-response memo cap
+	perClient  = 8        // requests in flight per client before 429
+	blobSlots  = 64       // concurrent blob requests before 503
 )
 
 // Options configures a Server.
@@ -60,29 +64,19 @@ type Options struct {
 	// persistent on-disk cache, so warm state survives daemon restarts and
 	// prior CLI runs' entries are inherited.
 	CacheDir string
-	// MaxInFlight bounds concurrently executing check computations across
-	// all clients (queued requests wait); 0 means 2×GOMAXPROCS.
-	MaxInFlight int
-	// PerClient bounds concurrently in-flight requests per client (the
-	// X-Golclint-Client header, falling back to the remote host); a client
-	// over its bound is answered 429. 0 means 8.
-	PerClient int
-	// MaxBodyBytes caps the request body; 0 means 64 MiB.
-	MaxBodyBytes int64
 }
 
 // Server is one daemon instance. Create with New, mount Handler on an
 // http.Server (or serve a listener with Serve).
 type Server struct {
-	opts  Options
 	sess  *cli.Session
 	start time.Time
 
-	sem chan struct{} // global computation slots
+	sem     chan struct{} // global computation slots: 2×GOMAXPROCS
+	maxBody int64         // request body cap; tests lower it in-package
 
-	mu       sync.Mutex
-	inflight map[string]*flight
-	clients  map[string]int
+	mu      sync.Mutex
+	clients map[string]int
 
 	// memo caches encoded responses of fully-warm computations by request
 	// key. A request is self-contained (sources, headers, and flags all
@@ -95,12 +89,11 @@ type Server struct {
 	memo      map[string][]byte
 	memoBytes int64
 
-	requests  atomic.Int64
-	errors    atomic.Int64
-	rejected  atomic.Int64
-	coalesced atomic.Int64
-	memoHits  atomic.Int64
-	active    atomic.Int64
+	requests atomic.Int64
+	errors   atomic.Int64
+	rejected atomic.Int64
+	memoHits atomic.Int64
+	active   atomic.Int64
 
 	aggMu sync.Mutex
 	agg   map[string]int64
@@ -108,28 +101,18 @@ type Server struct {
 
 // New builds a server with a fresh warm session.
 func New(o Options) (*Server, error) {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if o.PerClient <= 0 {
-		o.PerClient = 8
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = defaultBody
-	}
 	sess, err := cli.NewSession(o.CacheDir)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{
-		opts:     o,
-		sess:     sess,
-		start:    time.Now(),
-		sem:      make(chan struct{}, o.MaxInFlight),
-		inflight: map[string]*flight{},
-		memo:     map[string][]byte{},
-		clients:  map[string]int{},
-		agg:      map[string]int64{},
+		sess:    sess,
+		start:   time.Now(),
+		sem:     make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
+		maxBody: maxBody,
+		memo:    map[string][]byte{},
+		clients: map[string]int{},
+		agg:     map[string]int64{},
 	}, nil
 }
 
@@ -328,13 +311,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := readBody(w, r, s.opts.MaxBodyBytes)
+	body, status, err := readBody(w, r, s.maxBody)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
 		s.clientError(w, status, "reading request body: "+err.Error())
 		return
 	}
@@ -366,7 +344,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(client) {
 		s.rejected.Add(1)
 		s.clientError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("client %q has %d requests in flight (limit %d)", client, s.opts.PerClient, s.opts.PerClient))
+			fmt.Sprintf("client %q has %d requests in flight (limit %d)", client, perClient, perClient))
 		return
 	}
 	defer s.release(client)
@@ -375,26 +353,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer s.active.Add(-1)
 
 	key := requestKey(&req)
-	if b := s.memoGet(key); b != nil {
+	if body = s.memoGet(key); body != nil {
 		s.memoHits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
-		return
-	}
-	body, coalesced := s.coalesce(key, func() []byte {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-		return s.run(&req, cfg, key)
-	})
-	if coalesced {
-		s.coalesced.Add(1)
-	}
-	if body == nil {
-		// Only reachable if a leader's computation panicked out from under
-		// its followers; the checker itself must never do this (the fuzz
-		// suite leans on that), so surface it loudly rather than mask it.
-		http.Error(w, "internal error: coalesced computation did not complete", http.StatusInternalServerError)
-		return
+	} else {
+		body = s.run(&req, cfg, key)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
@@ -407,9 +369,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // loop a CLI run does. Determinism contract: everything in the response
 // except Counters depends only on the request content, never on cache
 // warmth or concurrency — warm replays are byte-identical because the cache
-// stores the full observable outcome, and coalesced followers share the
-// leader's encoded bytes outright.
+// stores the full observable outcome, and concurrent identical requests
+// each compute the same bytes. run holds one of the server's computation
+// slots while it checks, so a request over the limit queues here, after the
+// memo.
 func (s *Server) run(req *CheckRequest, cfg *cli.Config, key string) []byte {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
 	metrics := obs.New()
 	cfg.Metrics = metrics
 	module := func(name string, files map[string]string) cli.Module {
@@ -444,6 +410,36 @@ func (s *Server) run(req *CheckRequest, cfg *cli.Config, key string) []byte {
 		s.memoPut(key, b)
 	}
 	return b
+}
+
+// requestKey is a request's memo key: every field streams into one
+// SHA-256, maps in sorted key order with their sizes, and every component
+// length-prefixed as cache.KeyHasher does, so two requests with the same
+// content hash identically regardless of construction order. It hashes the
+// request in place: serializing a whole request only to hash it had cost a
+// copy of every source on every request, memo repeats included.
+func requestKey(req *CheckRequest) string {
+	h := cache.NewKeyHasher("check-request", "")
+	files := func(m map[string]string) {
+		h.Component(strconv.Itoa(len(m)))
+		for _, n := range sortedNames(m) {
+			h.Component(n)
+			h.Component(m[n])
+		}
+	}
+	files(req.Files)
+	h.Component(strconv.Itoa(len(req.Modules)))
+	for _, n := range sortedNames(req.Modules) {
+		h.Component(n)
+		files(req.Modules[n])
+	}
+	files(req.Headers)
+	h.Component(req.Flags)
+	h.Component(strconv.Itoa(req.Jobs))
+	h.Component(strconv.FormatBool(req.Explain))
+	h.Component(strconv.FormatBool(req.Validate))
+	h.Component(strconv.Itoa(req.Max))
+	return h.Sum()
 }
 
 // memoGet returns the memoized encoded response for key, if any. The bytes
@@ -489,12 +485,20 @@ func (s *Server) clientError(w http.ResponseWriter, status int, msg string) {
 	w.Write(append(b, '\n'))
 }
 
-// readBody reads the request body under the size cap.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody reads a request body under the size cap for both servers. On
+// failure it also returns the status to answer: 413 for a body over the
+// cap, 400 for any other read error.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
 	defer r.Body.Close()
 	var buf bytes.Buffer
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return buf.Bytes(), err
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	return buf.Bytes(), http.StatusOK, nil
 }
 
 // clientKey identifies the requesting client for per-client limits: an
@@ -516,7 +520,7 @@ func clientKey(r *http.Request) string {
 func (s *Server) admit(client string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.clients[client] >= s.opts.PerClient {
+	if s.clients[client] >= perClient {
 		return false
 	}
 	s.clients[client]++
@@ -543,16 +547,19 @@ func (s *Server) aggregate(counters map[string]int64) {
 
 // Stats is the /stats document.
 type Stats struct {
-	Schema      string `json:"schema"`
-	UptimeNS    int64  `json:"uptime_ns"`
-	Requests    int64  `json:"requests"`
-	Errors      int64  `json:"errors"`
-	Rejected    int64  `json:"rejected"`
-	Coalesced   int64  `json:"coalesced"`
-	MemoHits    int64  `json:"memo_hits"`
-	MemoEntries int    `json:"memo_entries"`
-	MemoBytes   int64  `json:"memo_bytes"`
-	InFlight    int64  `json:"in_flight"`
+	Schema   string `json:"schema"`
+	UptimeNS int64  `json:"uptime_ns"`
+	Requests int64  `json:"requests"`
+	Errors   int64  `json:"errors"`
+	Rejected int64  `json:"rejected"`
+	// Coalesced always reads 0: identical in-flight requests each
+	// compute, none sharing another's result. It stays in the document
+	// because the benchmark harness (perfbench) reads it.
+	Coalesced   int64 `json:"coalesced"`
+	MemoHits    int64 `json:"memo_hits"`
+	MemoEntries int   `json:"memo_entries"`
+	MemoBytes   int64 `json:"memo_bytes"`
+	InFlight    int64 `json:"in_flight"`
 	// CacheStores breaks the session's store stack down per layer ("mem",
 	// "disk", "remote") in the same shape -stats-json uses.
 	CacheStores       map[string]cache.StoreStats `json:"cache_stores,omitempty"`
@@ -577,7 +584,6 @@ func (s *Server) StatsSnapshot() Stats {
 		Requests:          s.requests.Load(),
 		Errors:            s.errors.Load(),
 		Rejected:          s.rejected.Load(),
-		Coalesced:         s.coalesced.Load(),
 		MemoHits:          s.memoHits.Load(),
 		MemoEntries:       memoEntries,
 		MemoBytes:         memoBytes,

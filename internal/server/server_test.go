@@ -23,11 +23,16 @@ const leakSource = "#include \"stdlib.h\"\n" +
 // cleanSource checks without diagnostics.
 const cleanSource = "int g(int x) { return x + 1; }\n"
 
-func startTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
+// startTestServer serves a fresh Server; each tune runs on it before the
+// first request can arrive, so a test can lower a limit in-package.
+func startTestServer(t *testing.T, tune ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(o)
+	srv, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range tune {
+		f(srv)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -69,7 +74,7 @@ func check(t *testing.T, base string, req *CheckRequest) *CheckResponse {
 }
 
 func TestCheckBasic(t *testing.T) {
-	_, ts := startTestServer(t, Options{})
+	_, ts := startTestServer(t)
 	cr := check(t, ts.URL, &CheckRequest{Files: map[string]string{"leak.c": leakSource}})
 	if cr.Exit != 1 || cr.CacheHit {
 		t.Errorf("cold: exit=%d cacheHit=%v", cr.Exit, cr.CacheHit)
@@ -101,7 +106,7 @@ func TestCheckBasic(t *testing.T) {
 }
 
 func TestCheckModulesDirtyHeader(t *testing.T) {
-	srv, ts := startTestServer(t, Options{})
+	srv, ts := startTestServer(t)
 	// take() consumes its only argument, so module a is clean under this
 	// interface.
 	headers := map[string]string{"api.h": "/*@only@*/ char *mk(void);\nvoid take(/*@only@*/ char *p);\n"}
@@ -158,7 +163,7 @@ func TestCheckModulesDirtyHeader(t *testing.T) {
 }
 
 func TestCheckRejections(t *testing.T) {
-	srv, ts := startTestServer(t, Options{MaxBodyBytes: 32 << 10})
+	srv, ts := startTestServer(t, func(s *Server) { s.maxBody = 32 << 10 })
 	cases := []struct {
 		name string
 		body string
@@ -200,7 +205,7 @@ func TestCheckRejections(t *testing.T) {
 }
 
 func TestMethodsAndHealth(t *testing.T) {
-	srv, ts := startTestServer(t, Options{})
+	srv, ts := startTestServer(t)
 	resp, err := http.Get(ts.URL + "/check")
 	if err != nil {
 		t.Fatal(err)
@@ -244,11 +249,13 @@ func TestMethodsAndHealth(t *testing.T) {
 // Per-client limiting: a client at its in-flight bound is answered 429;
 // other clients are unaffected.
 func TestPerClientLimit(t *testing.T) {
-	srv, ts := startTestServer(t, Options{PerClient: 1})
-	// Hold one slot for client "ci-1" white-box, then issue a request under
-	// the same identity: deterministically over the limit.
-	if !srv.admit("ci-1") {
-		t.Fatal("first admit refused")
+	srv, ts := startTestServer(t)
+	// Hold every slot of client "ci-1" white-box, then issue a request
+	// under the same identity: deterministically over the limit.
+	for i := 0; i < perClient; i++ {
+		if !srv.admit("ci-1") {
+			t.Fatalf("admit %d of %d refused", i+1, perClient)
+		}
 	}
 	body, _ := json.Marshal(&CheckRequest{Files: map[string]string{"ok.c": cleanSource}})
 	req, _ := http.NewRequest("POST", ts.URL+"/check", bytes.NewReader(body))
@@ -273,7 +280,7 @@ func TestPerClientLimit(t *testing.T) {
 		t.Errorf("other client = %d, want 200", resp2.StatusCode)
 	}
 	srv.release("ci-1")
-	// The freed slot admits again.
+	// One freed slot admits again.
 	req3, _ := http.NewRequest("POST", ts.URL+"/check", bytes.NewReader(body))
 	req3.Header.Set("X-Golclint-Client", "ci-1")
 	resp3, err := http.DefaultClient.Do(req3)
@@ -286,75 +293,6 @@ func TestPerClientLimit(t *testing.T) {
 	}
 	if srv.StatsSnapshot().Rejected != 1 {
 		t.Errorf("rejected counter = %d", srv.StatsSnapshot().Rejected)
-	}
-}
-
-// Coalescing, tested deterministically by driving each role directly
-// (tests live in the package, so no scheduling races decide who leads).
-func TestCoalesceSharesOneComputation(t *testing.T) {
-	srv, _ := startTestServer(t, Options{})
-
-	// Leader path, uncontended: compute runs, the result comes back
-	// unmarked, and the flight is retired afterwards.
-	computes := 0
-	b, coal := srv.coalesce("k1", func() []byte { computes++; return []byte("payload") })
-	if coal || string(b) != "payload" || computes != 1 {
-		t.Errorf("leader: %q coal=%v computes=%d", b, coal, computes)
-	}
-	srv.mu.Lock()
-	if len(srv.inflight) != 0 {
-		t.Errorf("flight not retired: %d in flight", len(srv.inflight))
-	}
-	srv.mu.Unlock()
-
-	// Follower path: with a flight already in the table, a caller for the
-	// same key never computes — it blocks on the flight and then shares the
-	// leader's bytes verbatim. The flight is planted by hand so follower-
-	// hood is certain, not a race outcome.
-	f := &flight{done: make(chan struct{})}
-	srv.mu.Lock()
-	srv.inflight["k2"] = f
-	srv.mu.Unlock()
-	const followers = 4
-	results := make(chan string, followers)
-	var wg sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b, coal := srv.coalesce("k2", func() []byte {
-				t.Error("follower computed")
-				return nil
-			})
-			if !coal {
-				t.Error("follower not marked coalesced")
-			}
-			results <- string(b)
-		}()
-	}
-	// Distinct keys are not coalesced even while k2 is in flight.
-	if b, coal := srv.coalesce("k3", func() []byte { return []byte("other") }); coal || string(b) != "other" {
-		t.Errorf("distinct key coalesced: %q %v", b, coal)
-	}
-	// Complete the flight the way a leader does — publish bytes, wake
-	// followers — but retire it only after every follower has returned, so
-	// a follower scheduled late still finds the flight (whether a given
-	// follower blocks on done or arrives to it already closed, the shared
-	// bytes are the same; both interleavings are valid and covered).
-	f.body = []byte("shared")
-	close(f.done)
-	wg.Wait()
-	srv.mu.Lock()
-	delete(srv.inflight, "k2")
-	srv.mu.Unlock()
-	for i := 0; i < followers; i++ {
-		if got := <-results; got != "shared" {
-			t.Errorf("follower got %q", got)
-		}
-	}
-	// With the flight retired, the next caller for k2 leads afresh.
-	if b, coal := srv.coalesce("k2", func() []byte { return []byte("fresh") }); coal || string(b) != "fresh" {
-		t.Errorf("retired key: %q coal=%v", b, coal)
 	}
 }
 
@@ -457,7 +395,7 @@ func TestDirtyEditFunctionGranular(t *testing.T) {
 		"}\n"
 	edited := strings.Replace(base, "return n + 1;", "return n + 2;", 1)
 
-	_, warmTS := startTestServer(t, Options{})
+	_, warmTS := startTestServer(t)
 	cold := check(t, warmTS.URL, &CheckRequest{Files: map[string]string{"ed.c": base}})
 	if cold.Counters["func_cache_misses"] != 2 {
 		t.Fatalf("cold counters = %v", cold.Counters)
@@ -467,7 +405,7 @@ func TestDirtyEditFunctionGranular(t *testing.T) {
 		t.Errorf("dirty-edit counters = %v, want 1 hit / 1 miss", dirty.Counters)
 	}
 
-	_, coldTS := startTestServer(t, Options{})
+	_, coldTS := startTestServer(t)
 	ref := check(t, coldTS.URL, &CheckRequest{Files: map[string]string{"ed.c": edited}})
 	if dirty.Exit != ref.Exit || dirty.Stdout != ref.Stdout || dirty.Stderr != ref.Stderr {
 		t.Errorf("dirty edit diverged from cold reference:\n--- warm ---\n%s--- cold ---\n%s",

@@ -2,7 +2,7 @@
 // dirty-edit request mixes against one server. Every response's
 // deterministic subset (exit, stdout, stderr, diagnostics) must equal the
 // reference computed on an idle server, regardless of interleaving, cache
-// warmth, or coalescing; afterwards the resident cache must hold every
+// warmth, or which request computed first; afterwards the resident cache must hold every
 // distinct outcome (no lost updates). Run under -race in CI.
 package server
 
@@ -63,13 +63,13 @@ func TestStressConcurrentClients(t *testing.T) {
 	pool := stressPool()
 
 	// References from an idle server, one cold request each.
-	_, refTS := startTestServer(t, Options{})
+	_, refTS := startTestServer(t)
 	refs := make([]subset, len(pool))
 	for i, req := range pool {
 		refs[i] = toSubset(check(t, refTS.URL, req))
 	}
 
-	srv, ts := startTestServer(t, Options{PerClient: 64})
+	srv, ts := startTestServer(t)
 	const (
 		workers = 8
 		iters   = 12
@@ -138,12 +138,13 @@ func TestStressConcurrentClients(t *testing.T) {
 
 // Concurrent identical requests — fresh key, so the first wave cannot be
 // served from the cache — must all return the same deterministic subset,
-// whether a given caller led, coalesced onto the leader, or recomputed
-// warm.
+// whether a given caller computed cold, computed against the entry another
+// caller stored, or replayed the memo. The callers share one client key
+// (the loopback host), and there are no more of them than its limit.
 func TestStressIdenticalBurst(t *testing.T) {
-	srv, ts := startTestServer(t, Options{PerClient: 64})
+	srv, ts := startTestServer(t)
 	req := &CheckRequest{Files: map[string]string{"burst.c": "#include \"stdlib.h\"\nint b(void) {\n  char *p = (char *) malloc(8);\n  return 0;\n}\n"}}
-	const callers = 8
+	const callers = perClient
 	subs := make([]subset, callers)
 	hits := make([]bool, callers)
 	var wg sync.WaitGroup
@@ -166,11 +167,25 @@ func TestStressIdenticalBurst(t *testing.T) {
 	if subs[0].Exit != 1 {
 		t.Errorf("burst exit = %d, want 1", subs[0].Exit)
 	}
-	// Someone computed cold; the miss count proves at most a few did (the
-	// rest coalesced or hit the store). With coalescing broken this would
-	// read 'callers'.
+	// Someone computed cold.
 	st := srv.StatsSnapshot()
-	if st.Counters["cache_misses"] == 0 || st.Counters["cache_misses"] == callers {
-		t.Errorf("cache_misses = %d over %d identical callers (coalescing inert?)", st.Counters["cache_misses"], callers)
+	if st.Counters["cache_misses"] == 0 {
+		t.Errorf("no cache miss over %d identical callers of a fresh request", callers)
+	}
+	// After the burst the request is resident: a repeat is a full cache
+	// hit that leaves its response in the memo (if a burst caller had not
+	// already), and the next repeat replays the memo.
+	if cr := check(t, ts.URL, req); !cr.CacheHit || !reflect.DeepEqual(toSubset(cr), subs[0]) {
+		t.Errorf("repeat after the burst: cacheHit=%v, subset %+v", cr.CacheHit, toSubset(cr))
+	}
+	before := srv.StatsSnapshot().MemoHits
+	if cr := check(t, ts.URL, req); !reflect.DeepEqual(toSubset(cr), subs[0]) {
+		t.Errorf("memo replay diverged: %+v", toSubset(cr))
+	}
+	if got := srv.StatsSnapshot().MemoHits; got != before+1 {
+		t.Errorf("memo hits = %d after a resident repeat, want %d", got, before+1)
+	}
+	if st := srv.StatsSnapshot(); st.Coalesced != 0 {
+		t.Errorf("coalesced = %d, want 0", st.Coalesced)
 	}
 }
